@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import ParseError, parse_csv_matrix
 from .permutation import Permutation, TieRule, all_permutations, induced_ordering
 from .submodular import SetFunction
 from .divergence import lb_divergence_batch
@@ -33,6 +34,8 @@ class ScoreMatrix:
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         if rows.size == 0:
             raise ValueError("need at least one row")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("scores must be finite")
         object.__setattr__(self, "rows", rows)
         if self.row_ids is not None:
             ids = tuple(self.row_ids)
@@ -50,8 +53,6 @@ class ScoreMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreMatrix":
-        from .dataio import parse_csv_matrix
-
         rows, header = parse_csv_matrix(text)
         return cls(rows)
 
@@ -59,6 +60,8 @@ class ScoreMatrix:
     def from_json(cls, text: str) -> "ScoreMatrix":
         raw = json.loads(text)
         if isinstance(raw, dict):
+            if "rows" not in raw:
+                raise ParseError("JSON score matrix object needs a 'rows' key")
             return cls(raw["rows"], tuple(raw["row_ids"]) if "row_ids" in raw else None)
         return cls(raw)
 
@@ -101,8 +104,7 @@ def brute_force_mean(matrix: ScoreMatrix, f: SetFunction,
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}")
     w = _resolve_weights(matrix, weights)
-    fhat = lb_divergence_batch(f, matrix.rows, Permutation.identity(n)) \
-        + matrix.rows @ extreme_subgradient(f, Permutation.identity(n)).values
+    fhat = f.lovasz_batch(matrix.rows)
     best, best_obj = None, math.inf
     for sigma in all_permutations(n):
         h = extreme_subgradient(f, sigma).values
@@ -157,8 +159,9 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
     Representatives are permutations; the update step replaces each with
     the ordering of its cluster mean, so the objective never increases.
     init is "sample" (k distinct seeded rows) or an explicit list of k
-    permutations. Empty clusters are reseeded with the row farthest from
-    its current representative.
+    permutations. Each empty cluster is reseeded with a distinct row, the
+    one farthest from its representative among clusters with at least two
+    members.
     """
     rows = matrix.rows
     m, n = rows.shape
@@ -191,10 +194,15 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
         dists = np.column_stack([lb_divergence_batch(f, rows, s, rule)
                                  for s in reps])
         assignments = np.argmin(dists, axis=1)
-        for j in range(k):
-            if not np.any(assignments == j):
-                worst = int(np.argmax(dists[np.arange(m), assignments]))
-                assignments[worst] = j
+        sizes = np.bincount(assignments, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            # k <= m, so some cluster can spare a row while one is empty
+            spare = sizes[assignments] >= 2
+            own = dists[np.arange(m), assignments]
+            worst = int(np.argmax(np.where(spare, own, -np.inf)))
+            sizes[assignments[worst]] -= 1
+            sizes[j] = 1
+            assignments[worst] = j
         new_objective = float(dists[np.arange(m), assignments].sum())
         # update step
         reps = [induced_ordering(rows[assignments == j].mean(axis=0), rule)

@@ -20,7 +20,7 @@ from .aggregate import (ClusteringResult, ScoreMatrix, aggregation_objective,
                         lb_kmeans, mean_ordering)
 from .dataio import ParseError
 from .divergence import (DiscountProfile, auc_loss, confidence_bound,
-                         lb_divergence, ndcg_loss)
+                         lb_divergence, lb_divergence_batch, ndcg_loss)
 from .mallows import (ExtendedLovaszMallows, LovaszMallows, estimate_log_Z,
                       extended_log_density, log_density_unnormalized,
                       map_permutation)
@@ -351,11 +351,9 @@ def grid(ctx, sigma_source, resolution, dims):
     axis = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([axis] * dims), indexing="ij")
     points = np.column_stack([g.ravel() for g in grids])
+    values = lb_divergence_batch(f, points, sigma, ctx.obj["rule"])
     header = [f"x{i + 1}" for i in range(dims)] + ["divergence"]
-    rows = [header]
-    for point in points:
-        value = lb_divergence(f, point, sigma, ctx.obj["rule"])
-        rows.append([float(v) for v in point] + [value])
+    rows = [header] + np.column_stack([points, values]).tolist()
     if ctx.obj["format"] == "json":
         _emit(ctx, {"columns": header,
                     "rows": [r for r in rows[1:]],

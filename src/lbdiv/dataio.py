@@ -1,7 +1,7 @@
 """Parsing helpers shared by the CLI: CSV matrices and small JSON payloads.
 
 CSV is comma-separated, UTF-8, LF or CRLF; an optional header row is
-detected by a non-numeric first row.
+detected by a non-numeric first row. Every parsed value must be finite.
 """
 
 from __future__ import annotations
@@ -58,21 +58,34 @@ def parse_csv_matrix(text: str):
             raise ParseError(
                 f"expected {width} columns, found {len(row)}", line=idx + 1)
         rows.append(row)
-    return np.array(rows), header
+    out = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ParseError("non-finite value in row",
+                         line=start + int(bad[0]) + 1)
+    return out, header
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"non-finite value in {what}")
+    return values
 
 
 def parse_vector(text: str) -> np.ndarray:
-    """A single comma-separated (or JSON array) vector of reals."""
+    """A single comma-separated (or JSON array) vector of finite reals."""
     text = text.strip()
     if text.startswith("["):
         try:
-            return np.asarray(json.loads(text), dtype=float)
+            vec = np.asarray(json.loads(text), dtype=float)
         except (json.JSONDecodeError, ValueError) as exc:
             raise ParseError(f"bad JSON vector: {exc}") from None
-    try:
-        return np.array([float(c) for c in text.split(",")])
-    except ValueError as exc:
-        raise ParseError(f"bad vector: {exc}") from None
+    else:
+        try:
+            vec = np.array([float(c) for c in text.split(",")])
+        except ValueError as exc:
+            raise ParseError(f"bad vector: {exc}") from None
+    return _finite(vec, "vector")
 
 
 def parse_int_vector(text: str) -> list:
@@ -89,4 +102,4 @@ def load_gain_table(text: str) -> np.ndarray:
         vals = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad gain table JSON: {exc}") from None
-    return np.asarray(vals, dtype=float)
+    return _finite(np.asarray(vals, dtype=float), "gain table")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutation import Permutation, TieRule, induced_ordering
-from .submodular import CardinalityConcave, GraphCut, SetFunction
+from .permutation import Permutation, TieRule, induced_ordering, reject_ties
+from .submodular import SetFunction
 from .lovasz import extreme_subgradient
 
 _ZERO_GUARD = 1e-12
@@ -32,35 +32,31 @@ def lb_divergence(f: SetFunction, x, sigma: Permutation,
 
     Equals <x, h_{sigma_x} - h_sigma>; nonnegative for submodular f and
     zero when sigma sorts x. The value is independent of how ties in x are
-    broken.
+    broken. The one-row case of lb_divergence_batch.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size != f.n or len(sigma) != f.n:
-        raise ValueError("length mismatch")
-    h_x = extreme_subgradient(f, induced_ordering(x, rule)).values
-    h_s = extreme_subgradient(f, sigma).values
-    return _clamp(float(x @ (h_x - h_s)))
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(lb_divergence_batch(f, x, sigma, rule)[0])
 
 
 def lb_divergence_batch(f: SetFunction, X, sigma: Permutation,
                         rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> np.ndarray:
     """lb_divergence of every row of X against a fixed sigma.
 
-    Vectorized for cardinality-based generators; row loop otherwise.
+    Computed as f.lovasz_batch(X) - X h_sigma: the generator's batch Lovasz
+    extension (a sorted-row dot product for the cardinality families, the
+    weighted total variation for graph cuts, X w for modular functions)
+    minus one extreme subgradient. Under TieRule.REJECT a row with tied
+    entries raises TieError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != f.n or len(sigma) != f.n:
         raise ValueError("length mismatch")
-    h_s = extreme_subgradient(f, sigma).values
-    if isinstance(f, CardinalityConcave):
-        # descending sort of each row dotted with the gain table
-        fhat = -np.sort(-X, axis=1) @ f.gains
-    else:
-        fhat = np.array([
-            float(row @ extreme_subgradient(f, induced_ordering(row, rule)).values)
-            for row in X])
-    vals = fhat - X @ h_s
-    return np.where((vals < 0) & (vals >= -_ZERO_GUARD), 0.0, vals)
+    if rule is TieRule.REJECT:
+        reject_ties(X)
+    vals = f.lovasz_batch(X) - X @ extreme_subgradient(f, sigma).values
+    # f-hat and <x, h_sigma> are summed in different orders, so a
+    # consistent sigma can leave rounding noise of either sign
+    return np.where(np.abs(vals) <= _ZERO_GUARD, 0.0, vals)
 
 
 def lb_cardinality(gains, x, sigma: Permutation,

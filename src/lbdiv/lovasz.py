@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .permutation import Permutation, TieRule, all_permutations, induced_ordering
+from .permutation import Permutation, TieRule, all_permutations, reject_ties
 from .submodular import SetFunction
 
 DEFAULT_ENUMERATION_CAP = 40320  # 8!
@@ -45,13 +45,16 @@ def lovasz_extension(f: SetFunction, x,
                      rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
     """The greedy (Choquet) value of the convex extension of f at x.
 
-    The value is independent of how ties in x are broken.
+    The value is independent of how ties in x are broken; under
+    TieRule.REJECT tied entries raise TieError. The one-row case of
+    f.lovasz_batch.
     """
     x = np.asarray(x, dtype=float)
     if x.size != f.n:
         raise ValueError("length mismatch")
-    h = extreme_subgradient(f, induced_ordering(x, rule))
-    return float(x @ h.values)
+    if rule is TieRule.REJECT:
+        reject_ties(x)
+    return float(f.lovasz_batch(x.reshape(1, -1))[0])
 
 
 def tie_consistent_count(y) -> int:

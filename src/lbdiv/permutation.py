@@ -112,14 +112,26 @@ def induced_ordering(x, rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> Permutati
     if x.ndim != 1 or x.size < 1:
         raise ValueError("score vector must be 1-d and nonempty")
     if rule is TieRule.REJECT:
-        vals, counts = np.unique(x, return_counts=True)
-        tied_vals = vals[counts > 1]
-        if tied_vals.size:
-            items = [i + 1 for i, v in enumerate(x) if v in tied_vals]
-            raise TieError(items)
+        reject_ties(x)
     # stable sort on -x keeps ascending index inside tie blocks
     order = np.argsort(-x, kind="stable") + 1
     return Permutation(order)
+
+
+def reject_ties(X) -> None:
+    """Raise TieError if a row of X has tied entries.
+
+    X is one score vector or a matrix of them; the error names the tied
+    items of the first offending row.
+    """
+    X = np.atleast_2d(X)
+    S = np.sort(X, axis=1)
+    tied_rows = np.flatnonzero((S[:, 1:] == S[:, :-1]).any(axis=1))
+    if tied_rows.size:
+        row = X[tied_rows[0]]
+        vals, counts = np.unique(row, return_counts=True)
+        tied = np.isin(row, vals[counts > 1])
+        raise TieError(int(i) + 1 for i in np.flatnonzero(tied))
 
 
 def relabel_scores(tau: Permutation, x):

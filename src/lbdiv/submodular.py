@@ -13,6 +13,7 @@ import numpy as np
 
 _CHECK_LIMIT = 20  # exhaustive structural checks are 2^n
 _TOL = 1e-9
+CUT_CHUNK_ROWS = 1024  # rows per block in the graph-cut batch extension
 
 
 def _as_subset(A, n: int) -> frozenset:
@@ -21,6 +22,11 @@ def _as_subset(A, n: int) -> frozenset:
         if not 1 <= i <= n:
             raise ValueError(f"item {i} outside ground set 1..{n}")
     return S
+
+
+def _descending_dot(X, gains) -> np.ndarray:
+    """Each row of X sorted in descending order, dotted with per-rank gains."""
+    return np.sort(np.asarray(X, dtype=float), axis=1)[:, ::-1] @ gains
 
 
 class SetFunction:
@@ -49,6 +55,21 @@ class SetFunction:
         for k, item in enumerate(order):
             prefix.add(item)
             out[k] = self(prefix)
+        return out
+
+    def lovasz_batch(self, X) -> np.ndarray:
+        """The Lovasz extension at every row of the (m, n) matrix X.
+
+        Generic greedy form: each row sorted in descending order, dotted
+        with the marginal gains along that order. Built-in families
+        override it with closed batch forms.
+        """
+        X = np.asarray(X, dtype=float)
+        out = np.empty(X.shape[0])
+        for r, row in enumerate(X):
+            order = np.argsort(-row, kind="stable")
+            out[r] = row[order] @ np.diff(self.chain_values(order + 1),
+                                          prepend=0.0)
         return out
 
     def descriptor(self) -> dict:
@@ -93,6 +114,9 @@ class CardinalityConcave(SetFunction):
     def chain_values(self, order) -> np.ndarray:
         return self._cum[1:].copy()
 
+    def lovasz_batch(self, X) -> np.ndarray:
+        return _descending_dot(X, self.gains)
+
     def descriptor(self) -> dict:
         return {"kind": "cardinality", "gains": self.gains.tolist()}
 
@@ -110,6 +134,8 @@ class TruncatedCardinality(SetFunction):
         self.gains = gains
         self.m = int(m)
         self._cum = np.concatenate(([0.0], np.cumsum(gains)))
+        self._chain = np.minimum(self._cum[1:], self._cum[self.m])
+        self._rank_gains = np.diff(self._chain, prepend=0.0)
 
     @classmethod
     def top_m(cls, n: int, m: int) -> "TruncatedCardinality":
@@ -121,7 +147,10 @@ class TruncatedCardinality(SetFunction):
         return float(min(self._cum[k], self._cum[self.m]))
 
     def chain_values(self, order) -> np.ndarray:
-        return np.minimum(self._cum[1:], self._cum[self.m])
+        return self._chain.copy()
+
+    def lovasz_batch(self, X) -> np.ndarray:
+        return _descending_dot(X, self._rank_gains)
 
     def descriptor(self) -> dict:
         return {"kind": "truncated_cardinality", "gains": self.gains.tolist(),
@@ -131,14 +160,14 @@ class TruncatedCardinality(SetFunction):
 class GraphCut(SetFunction):
     """f(A) = sum of W[i, j] over i in A, j outside A.
 
-    W must be symmetric and nonnegative with a zero diagonal.
+    W must be exactly symmetric and nonnegative with a zero diagonal.
     """
 
     def __init__(self, weights):
         W = np.asarray(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
-        if not np.allclose(W, W.T, atol=0):
+        if not np.array_equal(W, W.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(W < 0):
             raise ValueError("weights must be nonnegative")
@@ -146,6 +175,8 @@ class GraphCut(SetFunction):
             raise ValueError("diagonal must be zero")
         super().__init__(W.shape[0])
         self.weights = W
+        self._edges = np.nonzero(np.triu(W))
+        self._edge_weights = W[self._edges]
 
     @classmethod
     def uniform(cls, n: int, weight: float = 1.0) -> "GraphCut":
@@ -173,6 +204,17 @@ class GraphCut(SetFunction):
             out[k] = value
         return out
 
+    def lovasz_batch(self, X) -> np.ndarray:
+        # total variation: sum over edges i < j of W[i, j] |x_i - x_j|,
+        # in row blocks so memory stays O(CUT_CHUNK_ROWS * edges)
+        X = np.asarray(X, dtype=float)
+        (i, j), w = self._edges, self._edge_weights
+        out = np.empty(X.shape[0])
+        for lo in range(0, X.shape[0], CUT_CHUNK_ROWS):
+            B = X[lo:lo + CUT_CHUNK_ROWS]
+            out[lo:lo + len(B)] = np.abs(B[:, i] - B[:, j]) @ w
+        return out
+
     def descriptor(self) -> dict:
         return {"kind": "graph_cut", "weights": self.weights.tolist()}
 
@@ -185,6 +227,9 @@ class MaxTruncation(SetFunction):
 
     def chain_values(self, order) -> np.ndarray:
         return np.ones(self.n)
+
+    def lovasz_batch(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=float).max(axis=1)
 
     def descriptor(self) -> dict:
         return {"kind": "max_truncation", "n": self.n}
@@ -202,6 +247,9 @@ class RangeIndicator(SetFunction):
         out[-1] = 0.0
         return out
 
+    def lovasz_batch(self, X) -> np.ndarray:
+        return np.ptp(np.asarray(X, dtype=float), axis=1)
+
     def descriptor(self) -> dict:
         return {"kind": "range_indicator", "n": self.n}
 
@@ -217,6 +265,9 @@ class ProperSubsetIndicator(SetFunction):
         out = np.ones(self.n)
         out[-1] = 0.0
         return out
+
+    def lovasz_batch(self, X) -> np.ndarray:
+        return np.ptp(np.asarray(X, dtype=float), axis=1)
 
     def descriptor(self) -> dict:
         return {"kind": "proper_subset_indicator", "n": self.n}
@@ -236,6 +287,9 @@ class Modular(SetFunction):
 
     def chain_values(self, order) -> np.ndarray:
         return np.cumsum([self.item_weights[i - 1] for i in order])
+
+    def lovasz_batch(self, X) -> np.ndarray:
+        return np.asarray(X, dtype=float) @ self.item_weights
 
     def descriptor(self) -> dict:
         return {"kind": "modular", "weights": self.item_weights.tolist()}
@@ -302,6 +356,9 @@ class Sum(SetFunction):
 
     def chain_values(self, order) -> np.ndarray:
         return np.sum([t.chain_values(order) for t in self.terms], axis=0)
+
+    def lovasz_batch(self, X) -> np.ndarray:
+        return sum(t.lovasz_batch(X) for t in self.terms)
 
     def descriptor(self) -> dict:
         return {"kind": "sum", "terms": [t.descriptor() for t in self.terms]}

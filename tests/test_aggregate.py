@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lbdiv import (CardinalityConcave, GraphCut, Permutation, ScoreMatrix,
                    TieRule, TruncatedCardinality, aggregation_objective,
                    all_permutations, brute_force_mean, feature_inference,
                    induced_ordering, lb_divergence, lb_kmeans, mean_ordering)
+from lbdiv.dataio import ParseError
 from conftest import generator_zoo
 
 PAPER_ROWS = [[1.9, 2], [1.8, 2], [1.95, 2], [2, 1], [2.5, 1.2]]
@@ -31,6 +33,17 @@ class TestScoreMatrix:
             ScoreMatrix(np.empty((0, 3)))
         with pytest.raises(ValueError):
             ScoreMatrix([[1, 2]], row_ids=("a", "b"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ScoreMatrix([[1.0, 2.0], [bad, 0.5]])
+        with pytest.raises(ValueError):
+            ScoreMatrix.from_csv(f"1,2\n{bad},0.5\n")
+
+    def test_json_object_without_rows(self):
+        with pytest.raises(ParseError):
+            ScoreMatrix.from_json(json.dumps({"row_ids": ["r1"]}))
 
 
 class TestMeanOrdering:
@@ -227,6 +240,22 @@ class TestKMeans:
                 reps = [induced_ordering(
                     m.rows[assign == j].mean(axis=0)) if np.any(assign == j)
                     else reps[j] for j in range(2)]
+
+    @pytest.mark.parametrize("seed", [0, 18, 22, 28, 38])
+    def test_empty_clusters_reseeded_with_distinct_rows(self, seed):
+        # two planted centres and five clusters: the assignment step empties
+        # several clusters at once, and reseeding used to hand one row to
+        # two of them or strip a singleton, so the update step averaged an
+        # empty cluster
+        rng = np.random.default_rng(seed)
+        centres = rng.random((2, 6))
+        X = centres[rng.integers(0, 2, 24)] + 0.05 * rng.standard_normal(
+            (24, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lb_kmeans(ScoreMatrix(X), GraphCut.uniform(6), k=5,
+                               seed=0)
+        assert set(result.assignments) == set(range(5))
 
     def test_provided_init(self, rng):
         m = two_population_matrix(rng, rows_per_side=5)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from lbdiv import (CardinalityConcave, GraphCut, TruncatedCardinality,
                    lb_divergence, Permutation)
-from lbdiv.cli import cli, resolve_generator
+from lbdiv.cli import cli, main, resolve_generator
 
 SQRT3_DIV = 0.038550526870925236
 
@@ -252,6 +252,23 @@ class TestGridCommand:
         assert report["columns"] == ["x1", "x2", "divergence"]
         assert len(report["rows"]) == 4
 
+    @pytest.mark.parametrize("spec", ["cut:uniform", "cardinality:sqrt",
+                                      "topm:2"])
+    def test_values_match_single_point_divergence(self, runner, spec):
+        report = json.loads(run(runner, "--generator", spec, "grid",
+                                "--sigma", "3,1,2", "--dims", "3",
+                                "--resolution", "5").output)
+        f = resolve_generator(spec, 3)
+        sigma = Permutation([3, 1, 2])
+        for *point, value in report["rows"]:
+            assert value == pytest.approx(lb_divergence(f, point, sigma),
+                                          rel=1e-12, abs=1e-12)
+
+    def test_reject_rule_exits_on_tied_lattice_point(self, runner):
+        result = runner.invoke(cli, ["--tie-rule", "reject", "grid",
+                                     "--sigma", "1,2"])
+        assert result.exit_code != 0
+
     def test_sigma_length_mismatch(self, runner):
         assert runner.invoke(cli, ["grid", "--sigma", "1,2,3",
                                    "--dims", "2"]).exit_code != 0
@@ -267,3 +284,46 @@ class TestErrorStreams:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "line 2" in proc.stderr
+
+
+class TestInputBoundary:
+    """Malformed or non-finite input exits 2 with one line on stderr."""
+
+    def run_main(self, monkeypatch, capsys, *args):
+        monkeypatch.setattr(sys, "argv", ["lbdiv", *args])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        return err
+
+    def test_json_matrix_without_rows(self, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "rows.json"
+        data.write_text(json.dumps({"row_ids": ["a"]}))
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
+        assert "'rows'" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell(self, monkeypatch, capsys, tmp_path, cell):
+        data = tmp_path / "rows.csv"
+        data.write_text(f"a,b\n1,2\n{cell},1\n")
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
+        assert "line 3" in err and "non-finite" in err
+
+    def test_non_finite_json_matrix(self, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "rows.json"
+        data.write_text("[[1, 2], [NaN, 1]]")
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
+        assert "finite" in err
+
+    def test_non_finite_vectors(self, monkeypatch, capsys, tmp_path):
+        err = self.run_main(monkeypatch, capsys, "divergence",
+                            "--x", "0.5,nan", "--sigma", "1,2")
+        assert "non-finite" in err
+        data = tmp_path / "rows.csv"
+        data.write_text("1,2\n3,4\n")
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data),
+                            "--weights", "[1, Infinity]")
+        assert "non-finite" in err

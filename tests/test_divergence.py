@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from lbdiv import (CardinalityConcave, DiscountProfile, GraphCut,
-                   MaxTruncation, Modular, PartialOrder, Permutation, Sum,
-                   TieRule, all_permutations, auc_loss, confidence_bound,
-                   extreme_subgradient, induced_ordering, kendall_tau,
+from lbdiv import (CardinalityConcave, DiscountProfile, ExplicitTable,
+                   GraphCut, MaxTruncation, Modular, PartialOrder,
+                   Permutation, Sum, TieError, TieRule, all_permutations,
+                   auc_loss, confidence_bound, extreme_subgradient, induced_ordering, kendall_tau,
                    lb_cardinality, lb_cut, lb_divergence, lb_divergence_batch,
                    lb_top_m, ndcg_loss, partial_order_distortion,
                    relabel_scores)
@@ -51,6 +51,21 @@ class TestGenericDivergence:
             for i, row in enumerate(X):
                 assert batch[i] == pytest.approx(
                     lb_divergence(f, row, sigma), abs=1e-12)
+
+    def test_batch_tie_rule_is_the_same_for_every_generator(self):
+        table = ExplicitTable.from_function(3, lambda S: math.sqrt(len(S)))
+        sigma = Permutation([3, 1, 2])
+        X = np.array([[0.9, 0.2, 0.4], [0.5, 0.1, 0.5], [0.3, 0.3, 0.3]])
+        for f in (CardinalityConcave.sqrt(3), GraphCut.uniform(3), table):
+            with pytest.raises(TieError) as exc:
+                lb_divergence_batch(f, X, sigma, TieRule.REJECT)
+            assert exc.value.items == (1, 3)  # the first tied row's items
+            with pytest.raises(TieError):
+                lb_divergence(f, X[2], sigma, TieRule.REJECT)
+            np.testing.assert_array_equal(
+                lb_divergence_batch(f, X[:1], sigma, TieRule.REJECT),
+                lb_divergence_batch(f, X[:1], sigma))
+            assert lb_divergence_batch(f, X, sigma).shape == (3,)
 
     def test_tie_handling_is_value_independent(self):
         # any ordering consistent with tied x gives the same divergence

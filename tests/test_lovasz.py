@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from lbdiv import (CardinalityConcave, GraphCut, MaxTruncation, Permutation,
-                   TieRule, averaged_subgradient, extreme_subgradient,
+from hypothesis import given, settings, strategies as st
+
+from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, MaxTruncation,
+                   Modular, Permutation, ProperSubsetIndicator, RangeIndicator,
+                   Sum, TieError, TieRule, TruncatedCardinality,
+                   averaged_subgradient, extreme_subgradient,
                    has_distinct_extreme_points, induced_ordering,
                    lovasz_extension, tie_consistent_count,
                    tie_consistent_permutations)
+from lbdiv.submodular import CUT_CHUNK_ROWS
 from conftest import generator_zoo
 
 
@@ -177,3 +182,82 @@ class TestDistinctExtremePoints:
     def test_limit(self):
         with pytest.raises(ValueError):
             has_distinct_extreme_points(CardinalityConcave.sqrt(9))
+
+
+def every_family(rng, n):
+    """One generator of each built-in family, including a sum and a table."""
+    gains = np.sort(rng.uniform(-1.0, 2.0, n))[::-1]
+    W = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    W = np.triu(W, 1) + np.triu(W, 1).T
+    cut = GraphCut(W)
+    modular = Modular(rng.uniform(-2.0, 2.0, n))
+    return [
+        CardinalityConcave(gains),
+        TruncatedCardinality(gains, int(rng.integers(1, n + 1))),
+        cut,
+        MaxTruncation(n),
+        RangeIndicator(n),
+        ProperSubsetIndicator(n),
+        modular,
+        Sum([cut, CardinalityConcave.sqrt(n), modular]),
+        ExplicitTable(n, rng.normal(size=1 << n)),
+    ]
+
+
+def greedy_values(f, X):
+    """Per-row greedy value <x, h_{sigma_x}> and its summands' scale."""
+    vals, scales = [], []
+    for x in X:
+        h = extreme_subgradient(f, induced_ordering(x)).values
+        vals.append(float(x @ h))
+        scales.append(float(np.abs(x) @ np.abs(h)))
+    return np.array(vals), np.array(scales)
+
+
+def assert_batch_matches_greedy(f, X):
+    # 1e-12 relative to the size of the summands: rows whose value cancels
+    # to zero still carry rounding on the scale of |x| |h|
+    expected, scale = greedy_values(f, X)
+    np.testing.assert_array_less(np.abs(f.lovasz_batch(X) - expected),
+                                 1e-12 * np.maximum(scale, 1.0))
+
+
+# a few distinct values make ties, all-equal rows and sign changes common
+entries = st.one_of(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]),
+                    st.floats(-100, 100, allow_nan=False))
+
+
+@st.composite
+def score_matrices(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows.append([rows[0][0]] * n)
+    return np.array(rows, dtype=float)
+
+
+class TestLovaszBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(score_matrices(), st.integers(0, 2**32 - 1))
+    def test_matches_greedy_for_every_family(self, X, seed):
+        for f in every_family(np.random.default_rng(seed), X.shape[1]):
+            assert_batch_matches_greedy(f, X)
+
+    def test_cut_crosses_chunk_boundary(self, rng):
+        X = np.round(rng.normal(size=(2 * CUT_CHUNK_ROWS + 3, 5)), 1)
+        X[CUT_CHUNK_ROWS - 1:CUT_CHUNK_ROWS + 1] = 0.25  # all-equal rows
+        f = every_family(rng, 5)[2]
+        assert_batch_matches_greedy(f, X)
+
+    def test_extension_is_the_one_row_case(self, rng):
+        for f in every_family(rng, 4):
+            x = rng.normal(size=4)
+            assert lovasz_extension(f, x) == f.lovasz_batch([x])[0]
+
+    def test_extension_rejects_ties_under_reject_rule(self):
+        f = GraphCut.uniform(3)
+        with pytest.raises(TieError) as exc:
+            lovasz_extension(f, [0.5, 0.5, 0.1], TieRule.REJECT)
+        assert exc.value.items == (1, 2)

@@ -126,6 +126,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GraphCut([[0, 1], [2, 0]])
 
+    def test_near_symmetric_weights_rejected(self):
+        W = GraphCut.uniform(3).weights.copy()
+        W[0, 2] += 1e-7
+        with pytest.raises(ValueError):
+            GraphCut(W)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             GraphCut([[0, -1], [-1, 0]])
