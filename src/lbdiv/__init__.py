@@ -6,18 +6,16 @@ from .permutation import (Permutation, TieError, TieRule, all_permutations,
                           induced_ordering, kendall_tau, rank_correlation,
                           relabel_scores, spearman_footrule)
 from .submodular import (CardinalityConcave, ExplicitTable, GraphCut,
-                         MaxTruncation, Modular, ProperSubsetIndicator,
-                         RangeIndicator, SetFunction, Sum,
-                         TruncatedCardinality, evaluate, from_descriptor,
-                         is_monotone, is_submodular, marginal_gain)
+                         Modular, SetFunction, Sum, from_descriptor,
+                         is_monotone, is_submodular)
 from .lovasz import (ExtremeSubgradient, averaged_subgradient,
                      extreme_subgradient, has_distinct_extreme_points,
                      lovasz_extension, tie_consistent_count,
                      tie_consistent_permutations)
 from .divergence import (DiscountProfile, PartialOrder, auc_loss,
                          confidence_bound, lb_cardinality, lb_cut,
-                         lb_divergence, lb_divergence_batch, lb_top_m,
-                         ndcg_loss, partial_order_distortion)
+                         lb_divergence, lb_divergence_batch, ndcg_loss,
+                         partial_order_distortion)
 from .aggregate import (ClusteringResult, ScoreMatrix, aggregation_objective,
                         brute_force_mean, feature_inference, lb_kmeans,
                         mean_ordering)

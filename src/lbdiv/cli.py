@@ -16,18 +16,16 @@ import click
 import numpy as np
 
 from . import dataio
-from .aggregate import (ClusteringResult, ScoreMatrix, aggregation_objective,
-                        lb_kmeans, mean_ordering)
+from .aggregate import (ScoreMatrix, aggregation_objective, lb_kmeans,
+                        mean_ordering)
 from .dataio import ParseError
 from .divergence import (DiscountProfile, auc_loss, confidence_bound,
                          lb_divergence, lb_divergence_batch, ndcg_loss)
 from .mallows import (ExtendedLovaszMallows, LovaszMallows, estimate_log_Z,
-                      extended_log_density, log_density_unnormalized,
-                      map_permutation)
+                      log_density_unnormalized, map_permutation)
 from .permutation import (Permutation, TieError, TieRule, induced_ordering,
                           kendall_tau, spearman_footrule)
-from .submodular import (CardinalityConcave, GraphCut, SetFunction,
-                         TruncatedCardinality)
+from .submodular import CardinalityConcave, GraphCut, SetFunction
 
 DEFAULT_SEED = 1729
 LOW_CONFIDENCE_VARIATION = 1e-9
@@ -89,7 +87,7 @@ def resolve_generator(spec: str, n: int) -> SetFunction:
             m = int(arg)
         except ValueError:
             raise ValueError(f"bad top-m cutoff: {arg!r}") from None
-        return TruncatedCardinality.top_m(n, m)
+        return CardinalityConcave.top_m(n, m)
     raise ValueError(f"unknown generator spec: {spec!r}")
 
 

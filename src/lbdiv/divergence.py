@@ -106,22 +106,6 @@ def lb_cut(W, x, sigma: Permutation, orientation_count: int = 2,
     return _clamp(orientation_count * total)
 
 
-def lb_top_m(gains, m: int, x, sigma: Permutation,
-             rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
-    """Closed form for the cardinality generator truncated at rank m."""
-    gains = np.asarray(gains, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if gains.size < m or len(sigma) != n:
-        raise ValueError("length mismatch")
-    if not 1 <= m <= n:
-        raise ValueError(f"cutoff m={m} outside 1..{n}")
-    sx = induced_ordering(x, rule)
-    top_x = sum(x[sx(i) - 1] * gains[i - 1] for i in range(1, m + 1))
-    top_s = sum(x[sigma(i) - 1] * gains[i - 1] for i in range(1, m + 1))
-    return _clamp(float(top_x - top_s))
-
-
 @dataclass(frozen=True)
 class DiscountProfile:
     """Positional discounts D(1) >= D(2) >= ... > 0 with a rank cutoff."""
@@ -223,8 +207,10 @@ def confidence_bound(f: SetFunction, x) -> float:
     """Upper bound on the divergence from x to any permutation.
 
     eps * n * (max_j f({j}) - min_j f(j | V minus j)) with
-    eps = max_{i,j} |x_i - x_j|. Requires a monotone generator for
-    validity; the caller asserts monotonicity.
+    eps = max_{i,j} |x_i - x_j|. Holds for every submodular f, monotone
+    or not: both extreme subgradients sum to f(V), so the divergence is
+    <x - min x, h_{sigma_x} - h_sigma>, and submodularity puts each
+    component of either in [f(j | V minus j), f({j})].
     """
     x = np.asarray(x, dtype=float)
     if x.size != f.n:

@@ -18,7 +18,6 @@ from .permutation import Permutation, all_permutations, induced_ordering
 from .submodular import SetFunction, from_descriptor
 from .aggregate import ScoreMatrix
 from .divergence import lb_divergence, lb_divergence_batch
-from .lovasz import extreme_subgradient
 
 EXACT_NORMALIZATION_LIMIT = 8
 _MC_CHUNK = 4096

@@ -7,7 +7,6 @@ normalized so that f(empty) = 0.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -22,11 +21,6 @@ def _as_subset(A, n: int) -> frozenset:
         if not 1 <= i <= n:
             raise ValueError(f"item {i} outside ground set 1..{n}")
     return S
-
-
-def _descending_dot(X, gains) -> np.ndarray:
-    """Each row of X sorted in descending order, dotted with per-rank gains."""
-    return np.sort(np.asarray(X, dtype=float), axis=1)[:, ::-1] @ gains
 
 
 class SetFunction:
@@ -85,12 +79,15 @@ class CardinalityConcave(SetFunction):
     """f(A) = g(|A|) with concave g given by its gain table.
 
     `gains[i-1]` is g(i) - g(i-1); concavity means the table is
-    non-increasing.
+    non-increasing. The named constructors build the truncated (top-m),
+    max-value and range generators as gain tables.
     """
 
     def __init__(self, gains):
         gains = np.asarray(gains, dtype=float)
         super().__init__(gains.size)
+        if not np.all(np.isfinite(gains)):
+            raise ValueError("gain table must be finite")
         if np.any(np.diff(gains) > _TOL):
             raise ValueError("gain table must be non-increasing")
         self.gains = gains
@@ -108,6 +105,28 @@ class CardinalityConcave(SetFunction):
         k = np.arange(1, n + 1, dtype=float)
         return cls(np.log1p(k) - np.log1p(k - 1))
 
+    @classmethod
+    def truncated(cls, gains, m: int) -> "CardinalityConcave":
+        """The gain table cut off at rank m: the gains after rank m are 0."""
+        gains = np.array(gains, dtype=float)
+        if not 1 <= m <= gains.size:
+            raise ValueError(f"cutoff m={m} outside 1..{gains.size}")
+        gains[int(m):] = 0.0
+        return cls(gains)
+
+    @classmethod
+    def top_m(cls, n: int, m: int) -> "CardinalityConcave":
+        """f(A) = min{|A|, m}; m = 1 generates the max-value divergence."""
+        return cls.truncated(np.ones(n), m)
+
+    @classmethod
+    def proper_subset(cls, n: int) -> "CardinalityConcave":
+        """f(A) = 1 if A is neither empty nor V: the range divergence."""
+        gains = np.zeros(n)
+        if n > 1:
+            gains[[0, -1]] = 1.0, -1.0
+        return cls(gains)
+
     def __call__(self, A) -> float:
         return float(self._cum[len(_as_subset(A, self.n))])
 
@@ -115,46 +134,12 @@ class CardinalityConcave(SetFunction):
         return self._cum[1:].copy()
 
     def lovasz_batch(self, X) -> np.ndarray:
-        return _descending_dot(X, self.gains)
+        # each row sorted in descending order, dotted with the rank gains
+        X = np.asarray(X, dtype=float)
+        return np.sort(X, axis=1)[:, ::-1] @ self.gains
 
     def descriptor(self) -> dict:
         return {"kind": "cardinality", "gains": self.gains.tolist()}
-
-
-class TruncatedCardinality(SetFunction):
-    """f(A) = min{g(|A|), g(m)}: the cardinality form cut off at rank m."""
-
-    def __init__(self, gains, m: int):
-        gains = np.asarray(gains, dtype=float)
-        super().__init__(gains.size)
-        if not 1 <= m <= self.n:
-            raise ValueError(f"cutoff m={m} outside 1..{self.n}")
-        if np.any(np.diff(gains) > _TOL):
-            raise ValueError("gain table must be non-increasing")
-        self.gains = gains
-        self.m = int(m)
-        self._cum = np.concatenate(([0.0], np.cumsum(gains)))
-        self._chain = np.minimum(self._cum[1:], self._cum[self.m])
-        self._rank_gains = np.diff(self._chain, prepend=0.0)
-
-    @classmethod
-    def top_m(cls, n: int, m: int) -> "TruncatedCardinality":
-        """f(A) = min{|A|, m}."""
-        return cls(np.ones(n), m)
-
-    def __call__(self, A) -> float:
-        k = len(_as_subset(A, self.n))
-        return float(min(self._cum[k], self._cum[self.m]))
-
-    def chain_values(self, order) -> np.ndarray:
-        return self._chain.copy()
-
-    def lovasz_batch(self, X) -> np.ndarray:
-        return _descending_dot(X, self._rank_gains)
-
-    def descriptor(self) -> dict:
-        return {"kind": "truncated_cardinality", "gains": self.gains.tolist(),
-                "m": self.m}
 
 
 class GraphCut(SetFunction):
@@ -219,66 +204,14 @@ class GraphCut(SetFunction):
         return {"kind": "graph_cut", "weights": self.weights.tolist()}
 
 
-class MaxTruncation(SetFunction):
-    """f(A) = min{|A|, 1}: the generator of the max-value divergence."""
-
-    def __call__(self, A) -> float:
-        return float(min(len(_as_subset(A, self.n)), 1))
-
-    def chain_values(self, order) -> np.ndarray:
-        return np.ones(self.n)
-
-    def lovasz_batch(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float).max(axis=1)
-
-    def descriptor(self) -> dict:
-        return {"kind": "max_truncation", "n": self.n}
-
-
-class RangeIndicator(SetFunction):
-    """f(A) = 1 if 1 <= |A| <= n - 1, else 0 (range divergence generator)."""
-
-    def __call__(self, A) -> float:
-        k = len(_as_subset(A, self.n))
-        return float(1 <= k <= self.n - 1)
-
-    def chain_values(self, order) -> np.ndarray:
-        out = np.ones(self.n)
-        out[-1] = 0.0
-        return out
-
-    def lovasz_batch(self, X) -> np.ndarray:
-        return np.ptp(np.asarray(X, dtype=float), axis=1)
-
-    def descriptor(self) -> dict:
-        return {"kind": "range_indicator", "n": self.n}
-
-
-class ProperSubsetIndicator(SetFunction):
-    """f(A) = 1 if A is neither empty nor the full ground set."""
-
-    def __call__(self, A) -> float:
-        S = _as_subset(A, self.n)
-        return float(0 < len(S) < self.n)
-
-    def chain_values(self, order) -> np.ndarray:
-        out = np.ones(self.n)
-        out[-1] = 0.0
-        return out
-
-    def lovasz_batch(self, X) -> np.ndarray:
-        return np.ptp(np.asarray(X, dtype=float), axis=1)
-
-    def descriptor(self) -> dict:
-        return {"kind": "proper_subset_indicator", "n": self.n}
-
-
 class Modular(SetFunction):
     """f(A) = sum of per-item weights; submodular with equality."""
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         super().__init__(w.size)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         self.item_weights = w
 
     def __call__(self, A) -> float:
@@ -369,16 +302,15 @@ def from_descriptor(desc: dict) -> SetFunction:
     kind = desc["kind"]
     if kind == "cardinality":
         return CardinalityConcave(desc["gains"])
+    # kinds written before the cardinality forms were merged
     if kind == "truncated_cardinality":
-        return TruncatedCardinality(desc["gains"], desc["m"])
+        return CardinalityConcave.truncated(desc["gains"], desc["m"])
+    if kind == "max_truncation":
+        return CardinalityConcave.top_m(desc["n"], 1)
+    if kind in ("range_indicator", "proper_subset_indicator"):
+        return CardinalityConcave.proper_subset(desc["n"])
     if kind == "graph_cut":
         return GraphCut(desc["weights"])
-    if kind == "max_truncation":
-        return MaxTruncation(desc["n"])
-    if kind == "range_indicator":
-        return RangeIndicator(desc["n"])
-    if kind == "proper_subset_indicator":
-        return ProperSubsetIndicator(desc["n"])
     if kind == "modular":
         return Modular(desc["weights"])
     if kind == "explicit_table":
@@ -386,16 +318,6 @@ def from_descriptor(desc: dict) -> SetFunction:
     if kind == "sum":
         return Sum([from_descriptor(t) for t in desc["terms"]])
     raise ValueError(f"unknown set function kind: {kind}")
-
-
-def evaluate(f: SetFunction, A) -> float:
-    """f(A) for a subset A of 1-based items."""
-    return f(A)
-
-
-def marginal_gain(f: SetFunction, j: int, A) -> float:
-    """f(A + j) - f(A)."""
-    return f.marginal(j, A)
 
 
 def _mask_to_set(mask: int) -> frozenset:

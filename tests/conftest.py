@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lbdiv import CardinalityConcave, GraphCut, TruncatedCardinality
+from lbdiv import CardinalityConcave, GraphCut
 
 
 def random_concave_gains(rng, n):
@@ -23,7 +23,7 @@ def random_graph_cut(rng, n):
 
 def random_top_m(rng, n):
     m = int(rng.integers(1, n + 1))
-    return TruncatedCardinality(random_concave_gains(rng, n), m)
+    return CardinalityConcave.truncated(random_concave_gains(rng, n), m)
 
 
 def generator_zoo(rng, n):

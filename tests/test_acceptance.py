@@ -15,11 +15,11 @@ import pytest
 
 from lbdiv import (CardinalityConcave, ExtendedLovaszMallows, GraphCut,
                    LovaszMallows, Modular, Permutation, ScoreMatrix, Sum,
-                   TruncatedCardinality, aggregation_objective,
-                   all_permutations, auc_loss, brute_force_mean,
-                   confidence_bound, estimate_log_Z, extended_log_density,
-                   extreme_subgradient, induced_ordering, kendall_tau,
-                   lb_cut, lb_divergence, lb_kmeans, lb_top_m,
+                   aggregation_objective, all_permutations, auc_loss,
+                   brute_force_mean, confidence_bound, estimate_log_Z,
+                   extended_log_density, extreme_subgradient,
+                   induced_ordering, kendall_tau, lb_cardinality, lb_cut,
+                   lb_divergence, lb_kmeans,
                    lovasz_extension, map_permutation, mean_ordering,
                    ndcg_loss, relabel_scores, DiscountProfile)
 from conftest import generator_zoo, random_concave_gains, random_graph_cut
@@ -56,17 +56,19 @@ def test_criterion_2_mean_lemma_oracle():
             rows = rng.random((int(rng.integers(1, 11)), n))
             m = ScoreMatrix(rows)
             sigma, _ = mean_ordering(m)
-            generators = [CardinalityConcave.sqrt(n), GraphCut.uniform(n),
-                          TruncatedCardinality(CardinalityConcave.sqrt(n).gains,
-                                               int(rng.integers(1, n)))]
-            for f in generators:
+            sqrt = CardinalityConcave.sqrt(n)
+            cutoff = int(rng.integers(1, n))
+            generators = [(sqrt, None), (GraphCut.uniform(n), None),
+                          (CardinalityConcave.truncated(sqrt.gains, cutoff),
+                           cutoff)]
+            for f, top in generators:
                 bf = brute_force_mean(m, f)
-                if isinstance(f, TruncatedCardinality):
+                if top is not None:
                     # ranks below the cutoff do not affect the objective, so
                     # the oracle's lexicographic tie-break fixes the tail
                     # differently; the top-m prefix and the attained optimum
                     # are the well-defined parts
-                    prefix = range(1, f.m + 1)
+                    prefix = range(1, top + 1)
                     assert [bf(i) for i in prefix] == [sigma(i) for i in prefix]
                     assert aggregation_objective(m, f, bf) == pytest.approx(
                         aggregation_objective(m, f, sigma), abs=1e-12)
@@ -197,8 +199,9 @@ def test_criterion_5_ranking_measure_equivalences():
             profile = DiscountProfile.log2(n, cutoff=k)
             D = np.asarray(profile.values)
             ideal = float(np.sort(r)[::-1][:k] @ D[:k])
+            top_k = np.where(np.arange(n) < k, D, 0.0)
             assert ndcg_loss(r, sigma, profile) * ideal == pytest.approx(
-                lb_top_m(D, k, r, sigma), abs=1e-12)
+                lb_cardinality(top_k, r, sigma), abs=1e-12)
 
         for _ in range(100):
             n = int(rng.integers(2, 8))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, GraphCut, Permutation, ScoreMatrix,
-                   TieRule, TruncatedCardinality, aggregation_objective,
+                   TieRule, aggregation_objective,
                    all_permutations, brute_force_mean, feature_inference,
                    induced_ordering, lb_divergence, lb_kmeans, mean_ordering)
 from lbdiv.dataio import ParseError
-from conftest import generator_zoo
+from conftest import random_cardinality, random_concave_gains, random_graph_cut
 
 PAPER_ROWS = [[1.9, 2], [1.8, 2], [1.95, 2], [2, 1], [2.5, 1.2]]
 
@@ -100,17 +100,17 @@ class TestAggregationObjective:
                 best, abs=1e-12)
 
 
-def assert_oracle_agreement(m, f, sigma, weights=None):
+def assert_oracle_agreement(m, f, sigma, weights=None, cutoff=None):
     """Mean ordering vs. enumeration oracle.
 
-    Truncated generators ignore the ordering below the cutoff, so the
-    minimizer is only unique in its top-m prefix; there the oracle's
+    A generator truncated at rank `cutoff` ignores the ordering below it, so
+    the minimizer is only unique in its top-m prefix; there the oracle's
     lexicographic tie-break fixes the tail differently and we compare the
     prefix and the attained objective instead.
     """
     bf = brute_force_mean(m, f, weights=weights)
-    if isinstance(f, TruncatedCardinality):
-        prefix = range(1, f.m + 1)
+    if cutoff is not None:
+        prefix = range(1, cutoff + 1)
         assert [bf(i) for i in prefix] == [sigma(i) for i in prefix]
         assert aggregation_objective(m, f, bf, weights) == pytest.approx(
             aggregation_objective(m, f, sigma, weights), abs=1e-12)
@@ -125,8 +125,14 @@ class TestBruteForceMean:
             rows = rng.random((int(rng.integers(1, 8)), n))
             m = ScoreMatrix(rows)
             sigma, mu = mean_ordering(m)
-            for f in generator_zoo(rng, n):
+            # the generator zoo, drawn here so the top-m cutoff is known
+            for f in (CardinalityConcave.sqrt(n), random_cardinality(rng, n),
+                      random_graph_cut(rng, n)):
                 assert_oracle_agreement(m, f, sigma)
+            cutoff = int(rng.integers(1, n + 1))
+            f = CardinalityConcave.truncated(random_concave_gains(rng, n),
+                                             cutoff)
+            assert_oracle_agreement(m, f, sigma, cutoff=cutoff)
 
     def test_weighted_agrees_with_weighted_mean(self, rng):
         for _ in range(20):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lbdiv import (CardinalityConcave, GraphCut, TruncatedCardinality,
-                   lb_divergence, Permutation)
+from lbdiv import CardinalityConcave, GraphCut, lb_divergence, Permutation
 from lbdiv.cli import cli, main, resolve_generator
 
 SQRT3_DIV = 0.038550526870925236
@@ -30,8 +29,8 @@ class TestGeneratorSpecs:
                           CardinalityConcave)
         assert isinstance(resolve_generator("cut:uniform", 3), GraphCut)
         f = resolve_generator("topm:2", 4)
-        assert isinstance(f, TruncatedCardinality)
-        assert f.m == 2
+        assert isinstance(f, CardinalityConcave)
+        np.testing.assert_array_equal(f.gains, [1.0, 1.0, 0.0, 0.0])
 
     def test_file_backed(self, tmp_path):
         gains = tmp_path / "gains.json"

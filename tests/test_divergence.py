@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, DiscountProfile, ExplicitTable,
-                   GraphCut, MaxTruncation, Modular, PartialOrder,
+                   GraphCut, Modular, PartialOrder,
                    Permutation, Sum, TieError, TieRule, all_permutations,
                    auc_loss, confidence_bound, extreme_subgradient, induced_ordering, kendall_tau,
                    lb_cardinality, lb_cut, lb_divergence, lb_divergence_batch,
-                   lb_top_m, ndcg_loss, partial_order_distortion,
+                   ndcg_loss, partial_order_distortion,
                    relabel_scores)
 from conftest import generator_zoo, random_concave_gains, random_graph_cut
 
@@ -41,7 +41,8 @@ class TestGenericDivergence:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            lb_divergence(MaxTruncation(3), [0.1, 0.2], Permutation([1, 2, 3]))
+            lb_divergence(CardinalityConcave.top_m(3, 1), [0.1, 0.2],
+                          Permutation([1, 2, 3]))
 
     def test_batch_matches_scalar(self, rng):
         for f in generator_zoo(rng, 5):
@@ -122,22 +123,24 @@ class TestSpecializedForms:
     def test_top_m_single_top_value(self, rng):
         x = rng.random(5)
         sigma = Permutation.random(5, rng)
-        assert lb_top_m([1.0], 1, x, sigma) == pytest.approx(
+        assert lb_cardinality([1.0, 0, 0, 0, 0], x, sigma) == pytest.approx(
             x.max() - x[sigma(1) - 1], abs=1e-12)
 
     def test_top_m_set_insensitive_to_internal_order(self):
         x = np.array([0.9, 0.1, 0.5, 0.3])
         # both orderings place the same top-2 set {1, 3}
         for sigma in (Permutation([1, 3, 2, 4]), Permutation([3, 1, 4, 2])):
-            assert lb_top_m(np.ones(4), 2, x, sigma) == 0.0
+            assert lb_cardinality([1.0, 1.0, 0, 0], x, sigma) == 0.0
 
     def test_top_m_by_hand(self):
-        assert lb_top_m(np.ones(3), 2, [0.9, 0.1, 0.5],
-                        Permutation([1, 2, 3])) == pytest.approx(0.4, abs=1e-12)
+        assert lb_cardinality([1.0, 1.0, 0], [0.9, 0.1, 0.5],
+                              Permutation([1, 2, 3])) == pytest.approx(
+                                  0.4, abs=1e-12)
 
     def test_top_m_out_of_range(self):
-        with pytest.raises(ValueError):
-            lb_top_m(np.ones(3), 4, [0.1, 0.2, 0.3], Permutation([1, 2, 3]))
+        for m in (0, 4):
+            with pytest.raises(ValueError):
+                CardinalityConcave.top_m(3, m)
 
     def test_specialized_agree_with_generic(self, rng):
         n = 5
@@ -151,10 +154,10 @@ class TestSpecializedForms:
             assert lb_cut(cut.weights, x, sigma, 2) == pytest.approx(
                 lb_divergence(cut, x, sigma), abs=1e-12)
             m = int(rng.integers(1, n + 1))
-            from lbdiv import TruncatedCardinality
-            assert lb_top_m(gains, m, x, sigma) == pytest.approx(
-                lb_divergence(TruncatedCardinality(gains, m), x, sigma),
-                abs=1e-12)
+            top_m = np.where(np.arange(n) < m, gains, 0.0)
+            assert lb_cardinality(top_m, x, sigma) == pytest.approx(
+                lb_divergence(CardinalityConcave.truncated(gains, m), x,
+                              sigma), abs=1e-12)
 
 
 class TestRankingMeasures:
@@ -186,8 +189,9 @@ class TestRankingMeasures:
             sigma = Permutation.random(n, rng)
             sr = induced_ordering(r)
             ideal = sum(r[sr(i) - 1] * D[i - 1] for i in range(1, k + 1))
+            top_k = np.where(np.arange(n) < k, D, 0.0)
             assert ndcg_loss(r, sigma, profile) * ideal == pytest.approx(
-                lb_top_m(D, k, r, sigma), abs=1e-12)
+                lb_cardinality(top_k, r, sigma), abs=1e-12)
 
     def test_auc_perfect_separation(self):
         assert auc_loss({1, 2}, {3, 4}, Permutation([2, 1, 3, 4])) == 0.0
@@ -270,14 +274,17 @@ class TestConfidenceBound:
 
     def test_dominates_divergence_exhaustively(self, rng):
         for n in (3, 5, 6):
-            for f in generator_zoo(rng, n):
+            # proper_subset is not monotone: the bound needs only
+            # submodularity
+            for f in generator_zoo(rng, n) + [
+                    CardinalityConcave.proper_subset(n)]:
                 x = rng.random(n)
                 bound = confidence_bound(f, x)
                 for sigma in all_permutations(n):
                     assert lb_divergence(f, x, sigma) <= bound + 1e-12
 
     def test_monotone_second_inequality(self, rng):
-        for f in (CardinalityConcave.sqrt(4), MaxTruncation(4)):
+        for f in (CardinalityConcave.sqrt(4), CardinalityConcave.top_m(4, 1)):
             x = rng.random(4)
             eps = x.max() - x.min()
             assert confidence_bound(f, x) <= \

@@ -6,9 +6,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, MaxTruncation,
-                   Modular, Permutation, ProperSubsetIndicator, RangeIndicator,
-                   Sum, TieError, TieRule, TruncatedCardinality,
+from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular,
+                   Permutation, Sum, TieError, TieRule,
                    averaged_subgradient, extreme_subgradient,
                    has_distinct_extreme_points, induced_ordering,
                    lovasz_extension, tie_consistent_count,
@@ -28,7 +27,8 @@ def brute_extension(f, x):
 
 class TestExtremeSubgradient:
     def test_max_truncation_by_hand(self):
-        h = extreme_subgradient(MaxTruncation(2), Permutation([2, 1])).values
+        h = extreme_subgradient(CardinalityConcave.top_m(2, 1),
+                                Permutation([2, 1])).values
         np.testing.assert_allclose(h, [0.0, 1.0])
 
     def test_cardinality_places_gains_at_ranks(self, rng):
@@ -52,7 +52,8 @@ class TestExtremeSubgradient:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            extreme_subgradient(MaxTruncation(3), Permutation([1, 2]))
+            extreme_subgradient(CardinalityConcave.top_m(3, 1),
+                                Permutation([1, 2]))
 
 
 class TestLovaszExtension:
@@ -122,7 +123,7 @@ class TestLovaszExtension:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            lovasz_extension(MaxTruncation(3), [1.0, 0.0])
+            lovasz_extension(CardinalityConcave.top_m(3, 1), [1.0, 0.0])
 
 
 class TestTieEnumeration:
@@ -193,11 +194,13 @@ def every_family(rng, n):
     modular = Modular(rng.uniform(-2.0, 2.0, n))
     return [
         CardinalityConcave(gains),
-        TruncatedCardinality(gains, int(rng.integers(1, n + 1))),
+        # truncation needs a nonnegative gain at the cutoff to stay concave
+        CardinalityConcave.truncated(np.maximum(gains, 0.0),
+                                     int(rng.integers(1, n + 1))),
         cut,
-        MaxTruncation(n),
-        RangeIndicator(n),
-        ProperSubsetIndicator(n),
+        CardinalityConcave.top_m(n, 1),
+        CardinalityConcave.top_m(n, int(rng.integers(1, n + 1))),
+        CardinalityConcave.proper_subset(n),
         modular,
         Sum([cut, CardinalityConcave.sqrt(n), modular]),
         ExplicitTable(n, rng.normal(size=1 << n)),

@@ -4,69 +4,71 @@ import math
 import numpy as np
 import pytest
 
-from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, MaxTruncation,
-                   Modular, ProperSubsetIndicator, RangeIndicator, Sum,
-                   TruncatedCardinality, evaluate, from_descriptor,
-                   is_monotone, is_submodular, marginal_gain)
+from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular, Sum,
+                   from_descriptor, is_monotone, is_submodular)
 from conftest import generator_zoo, random_concave_gains, random_graph_cut
 
 
 class TestEvaluate:
     def test_graph_cut_single_crossing(self):
         f = GraphCut.uniform(2)
-        assert evaluate(f, {1}) == 1.0
+        assert f({1}) == 1.0
 
     def test_graph_cut_counts_crossing_pairs(self):
         f = GraphCut.uniform(4)
         # |A| |V \ A| for uniform unit weights
-        assert evaluate(f, {1, 3}) == 4.0
+        assert f({1, 3}) == 4.0
 
     def test_sqrt_cardinality(self):
         f = CardinalityConcave.sqrt(6)
-        assert evaluate(f, {1, 2, 4, 6}) == pytest.approx(2.0, abs=1e-12)
+        assert f({1, 2, 4, 6}) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("f", [
-        CardinalityConcave.sqrt(3), GraphCut.uniform(3), MaxTruncation(3),
-        RangeIndicator(3), ProperSubsetIndicator(3),
-        TruncatedCardinality.top_m(3, 2), Modular([1.0, 2.0, 3.0]),
+        CardinalityConcave.sqrt(3), GraphCut.uniform(3),
+        CardinalityConcave.top_m(3, 1), CardinalityConcave.proper_subset(3),
+        CardinalityConcave.proper_subset(1), CardinalityConcave.top_m(3, 2),
+        Modular([1.0, 2.0, 3.0]), CardinalityConcave.log(3),
+        CardinalityConcave.truncated([2.0, 1.0, -1.0], 2),
+        CardinalityConcave([0.5, 0.5, -3.0]),
     ])
     def test_empty_set_is_zero(self, f):
-        assert evaluate(f, set()) == 0.0
+        assert f(set()) == 0.0
 
     def test_out_of_range_item(self):
         with pytest.raises(ValueError):
-            evaluate(CardinalityConcave.sqrt(3), {4})
+            CardinalityConcave.sqrt(3)({4})
 
     def test_max_truncation(self):
-        f = MaxTruncation(3)
+        f = CardinalityConcave.top_m(3, 1)
         assert f({2}) == 1.0
         assert f({1, 2, 3}) == 1.0
 
     def test_indicators(self):
-        assert RangeIndicator(3)({1}) == 1.0
-        assert RangeIndicator(3)({1, 2, 3}) == 0.0
-        assert ProperSubsetIndicator(3)({1, 2}) == 1.0
-        assert ProperSubsetIndicator(3)({1, 2, 3}) == 0.0
+        f = CardinalityConcave.proper_subset(3)
+        assert f({1}) == 1.0
+        assert f({1, 2}) == 1.0
+        assert f({1, 2, 3}) == 0.0
+        assert CardinalityConcave.proper_subset(1)({1}) == 0.0
 
 
 class TestMarginalGain:
     def test_sqrt_gain(self):
         f = CardinalityConcave.sqrt(4)
-        assert marginal_gain(f, 3, {1, 2}) == pytest.approx(
+        assert f.marginal(3, {1, 2}) == pytest.approx(
             math.sqrt(3) - math.sqrt(2), abs=1e-12)
 
     def test_gain_at_empty_is_singleton_value(self, rng):
         for f in generator_zoo(rng, 4):
             for j in range(1, 5):
-                assert marginal_gain(f, j, set()) == pytest.approx(f({j}))
+                assert f.marginal(j, set()) == pytest.approx(f({j}))
 
     def test_graph_cut_gain(self):
         f = GraphCut.uniform(3)
-        assert marginal_gain(f, 2, {1}) == 0.0
+        assert f.marginal(2, {1}) == 0.0
 
     def test_item_already_present(self):
         with pytest.raises(ValueError):
-            marginal_gain(CardinalityConcave.sqrt(3), 1, {1, 2})
+            CardinalityConcave.sqrt(3).marginal(1, {1, 2})
 
 
 class TestStructuralChecks:
@@ -85,9 +87,8 @@ class TestStructuralChecks:
             for f in generator_zoo(rng, n):
                 assert is_submodular(f), f.descriptor()["kind"]
         for n in (2, 5):
-            assert is_submodular(MaxTruncation(n))
-            assert is_submodular(RangeIndicator(n))
-            assert is_submodular(ProperSubsetIndicator(n))
+            assert is_submodular(CardinalityConcave.top_m(n, 1))
+            assert is_submodular(CardinalityConcave.proper_subset(n))
 
     def test_sum_of_submodular_is_submodular(self, rng):
         f = Sum(generator_zoo(rng, 5))
@@ -95,7 +96,8 @@ class TestStructuralChecks:
 
     def test_monotone(self, rng):
         assert is_monotone(CardinalityConcave.sqrt(4))
-        assert is_monotone(MaxTruncation(4))
+        assert is_monotone(CardinalityConcave.top_m(4, 1))
+        assert not is_monotone(CardinalityConcave.proper_subset(4))
         assert not is_monotone(random_graph_cut(rng, 4))
 
     def test_too_large_for_exhaustive_check(self):
@@ -107,20 +109,40 @@ class TestTruncatedCardinality:
     def test_min_identity_exact(self, rng):
         gains = random_concave_gains(rng, 6)
         g = np.concatenate(([0.0], np.cumsum(gains)))
-        f = TruncatedCardinality(gains, 3)
+        f = CardinalityConcave.truncated(gains, 3)
         for k in range(7):
             A = set(range(1, k + 1))
             assert f(A) == min(g[k], g[3])
 
     def test_cutoff_out_of_range(self):
         with pytest.raises(ValueError):
-            TruncatedCardinality(np.ones(3), 4)
+            CardinalityConcave.truncated(np.ones(3), 4)
+
+    def test_negative_gain_at_the_cutoff_rejected(self):
+        # rank gains [1, -3, 0] rise after the cutoff: g is not concave
+        with pytest.raises(ValueError, match="non-increasing"):
+            CardinalityConcave.truncated([1.0, -3.0, -4.0], 2)
+
+    def test_chain_telescopes_from_empty(self):
+        f = CardinalityConcave.truncated([1.0, 0.5, -4.0], 2)
+        np.testing.assert_array_equal(f.chain_values([1, 2, 3]),
+                                      [1.0, 1.5, 1.5])
+        assert f(set()) == 0.0
 
 
 class TestValidation:
     def test_increasing_gain_table_rejected(self):
         with pytest.raises(ValueError):
             CardinalityConcave([0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CardinalityConcave([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            CardinalityConcave.truncated([bad, 1.0, 0.5], 2)
+        with pytest.raises(ValueError, match="finite"):
+            Modular([bad])
 
     def test_asymmetric_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +180,7 @@ class TestExplicitTable:
 class TestSerialization:
     def test_descriptor_roundtrip(self, rng):
         zoo = generator_zoo(rng, 4) + [
-            MaxTruncation(4), RangeIndicator(4), ProperSubsetIndicator(4),
+            CardinalityConcave.top_m(4, 1), CardinalityConcave.proper_subset(4),
             Modular([1.0, -2.0, 0.5, 3.0]),
             Sum([CardinalityConcave.sqrt(4), GraphCut.uniform(4)]),
             ExplicitTable.from_function(4, lambda S: math.sqrt(len(S))),
@@ -168,6 +190,22 @@ class TestSerialization:
             for mask in range(16):
                 A = {i + 1 for i in range(4) if mask >> i & 1}
                 assert g(A) == pytest.approx(f(A), abs=1e-12)
+
+    @pytest.mark.parametrize("desc, by_size", [
+        ({"kind": "truncated_cardinality", "gains": [1.0, 0.5, 0.25, 0.125],
+          "m": 2}, [0.0, 1.0, 1.5, 1.5, 1.5]),
+        ({"kind": "max_truncation", "n": 4}, [0.0, 1.0, 1.0, 1.0, 1.0]),
+        ({"kind": "range_indicator", "n": 4}, [0.0, 1.0, 1.0, 1.0, 0.0]),
+        ({"kind": "proper_subset_indicator", "n": 4},
+         [0.0, 1.0, 1.0, 1.0, 0.0]),
+    ])
+    def test_pre_merge_descriptors(self, desc, by_size):
+        # kinds written before the merge still load, on all 2^n subsets
+        f = from_descriptor(desc)
+        for mask in range(16):
+            A = {i + 1 for i in range(4) if mask >> i & 1}
+            assert f(A) == by_size[len(A)]
+        assert f.descriptor()["kind"] == "cardinality"
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
