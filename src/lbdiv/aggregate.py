@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import ParseError, parse_csv_matrix
-from .permutation import Permutation, TieRule, all_permutations, induced_ordering
+from .permutation import Permutation, TieRule, induced_ordering
 from .submodular import SetFunction
 from .divergence import lb_divergence_batch
-from .lovasz import extreme_subgradient
-
-BRUTE_FORCE_LIMIT = 8
+from .lovasz import extreme_subgradients
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,17 @@ def aggregation_objective(matrix: ScoreMatrix, f: SetFunction,
 
 def brute_force_mean(matrix: ScoreMatrix, f: SetFunction,
                      weights=None) -> Permutation:
-    """Enumeration oracle: argmin of the aggregation objective over all
-    permutations, ties broken lexicographically. Limited to n <= 8."""
-    n = matrix.n_items
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}")
-    w = _resolve_weights(matrix, weights)
-    fhat = f.lovasz_batch(matrix.rows)
-    best, best_obj = None, math.inf
-    for sigma in all_permutations(n):
-        h = extreme_subgradient(f, sigma).values
-        obj = float(w @ (fhat - matrix.rows @ h))
-        if obj < best_obj:  # strict improvement keeps the lexicographically first
-            best, best_obj = sigma, obj
-    return best
+    """Enumeration oracle (n <= lovasz.ENUMERATION_LIMIT): the lexicographically
+    first sigma whose objective w . f-hat(X) - <h_sigma, X^T w> is within
+    1e-9 of the minimum, relative to the largest |h_sigma| . |X^T w|, so
+    that ties do not depend on the order of summation."""
+    if matrix.n_items != f.n:
+        raise ValueError("score width does not match the ground set")
+    P, H = extreme_subgradients(f)
+    v = _resolve_weights(matrix, weights) @ matrix.rows
+    linear = H @ v
+    tol = 1e-9 * (np.abs(H) @ np.abs(v)).max()
+    return Permutation(P[np.flatnonzero(linear >= linear.max() - tol)[0]])
 
 
 def feature_inference(features: ScoreMatrix, w,

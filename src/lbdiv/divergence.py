@@ -8,6 +8,7 @@ every specialization is validated against it in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,11 @@ def lb_divergence_batch(f: SetFunction, X, sigma: Permutation,
         raise ValueError("length mismatch")
     if rule is TieRule.REJECT:
         reject_ties(X)
-    vals = f.lovasz_batch(X) - X @ extreme_subgradient(f, sigma).values
-    # f-hat and <x, h_sigma> are summed in different orders, so a
-    # consistent sigma can leave rounding noise of either sign
-    return np.where(np.abs(vals) <= _ZERO_GUARD, 0.0, vals)
+    h = extreme_subgradient(f, sigma).values
+    vals = f.lovasz_batch(X) - X @ h
+    # f-hat and <x, h_sigma> round differently; noise within the guard is 0
+    guard = _ZERO_GUARD * np.maximum(np.abs(X) @ np.abs(h), 1.0)
+    return np.where(np.abs(vals) <= guard, 0.0, vals)
 
 
 def lb_cardinality(gains, x, sigma: Permutation,
@@ -69,8 +71,8 @@ def lb_cardinality(gains, x, sigma: Permutation,
     x = np.asarray(x, dtype=float)
     if gains.size != x.size or len(sigma) != x.size:
         raise ValueError("length mismatch")
-    if np.any(np.diff(gains) > 1e-9):
-        raise ValueError("gain table must be non-increasing")
+    if not np.all(np.isfinite(gains)) or np.any(np.diff(gains) > 1e-9):
+        raise ValueError("gain table must be finite and non-increasing")
     sx = induced_ordering(x, rule)
     xs = x[np.array(sx.items) - 1]
     xo = x[np.array(sigma.items) - 1]
@@ -116,8 +118,8 @@ class DiscountProfile:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if not vals or any(v <= 0 for v in vals):
-            raise ValueError("discounts must be strictly positive")
+        if not vals or not all(0 < v < math.inf for v in vals):
+            raise ValueError("discounts must be finite and strictly positive")
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError("discounts must be non-increasing")
         if not 1 <= self.cutoff <= len(vals):

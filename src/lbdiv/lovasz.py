@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .permutation import Permutation, TieRule, all_permutations, reject_ties
-from .submodular import SetFunction
+from .permutation import Permutation, TieRule, reject_ties
+from .submodular import SetFunction, _tabulate
 
-DEFAULT_ENUMERATION_CAP = 40320  # 8!
+ENUMERATION_LIMIT = 8  # largest n for the exhaustive n! enumerations
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,23 @@ def extreme_subgradient(f: SetFunction, sigma: Permutation) -> ExtremeSubgradien
     return ExtremeSubgradient(h, f, sigma)
 
 
+def extreme_subgradients(f: SetFunction):
+    """Every extreme subgradient at once (n <= ENUMERATION_LIMIT): P holds the
+    n! orderings, 1-based, in all_permutations order, and H[k] is h_{P[k]},
+    the differences of f's 2^n-value table along P[k]'s prefix bitmasks."""
+    if f.n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration limited to n <= {ENUMERATION_LIMIT}")
+    # lexicographic: each first item k, then the shorter orderings shifted past k
+    P = np.zeros((1, 0), dtype=int)
+    for m in range(1, f.n + 1):
+        k = np.arange(m)[:, None, None]
+        P = np.concatenate((np.broadcast_to(k, (m, len(P), 1)), P + (P >= k)),
+                           axis=2).reshape(-1, m)
+    chains = _tabulate(f)[np.cumsum(1 << P, axis=1)]
+    gains = np.diff(chains, axis=1, prepend=0.0)
+    return P + 1, np.take_along_axis(gains, np.argsort(P, axis=1), axis=1)
+
+
 def lovasz_extension(f: SetFunction, x,
                      rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
     """The greedy (Choquet) value of the convex extension of f at x.
@@ -59,12 +76,8 @@ def lovasz_extension(f: SetFunction, x,
 
 def tie_consistent_count(y) -> int:
     """Number of descending orderings consistent with y (product of block factorials)."""
-    y = np.asarray(y, dtype=float)
-    _, counts = np.unique(y, return_counts=True)
-    count = 1
-    for c in counts:
-        count *= math.factorial(int(c))
-    return count
+    _, counts = np.unique(np.asarray(y, dtype=float), return_counts=True)
+    return math.prod(math.factorial(int(c)) for c in counts)
 
 
 def tie_consistent_permutations(y):
@@ -77,7 +90,7 @@ def tie_consistent_permutations(y):
 
 
 def averaged_subgradient(f: SetFunction, y, zero_at_origin: bool = False,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+                         cap: int = math.factorial(ENUMERATION_LIMIT)) -> np.ndarray:
     """Arithmetic mean of the extreme subgradients over all orderings of y.
 
     For totally ordered y this is the single greedy subgradient. With
@@ -103,14 +116,11 @@ def averaged_subgradient(f: SetFunction, y, zero_at_origin: bool = False,
 def has_distinct_extreme_points(f: SetFunction, tol: float = 1e-9) -> bool:
     """Check that all n! extreme subgradients of f are pairwise distinct.
 
-    Exhaustive (n <= 8); a proxy for the generator class on which the
-    divergence vanishes only on consistent (x, sigma) pairs.
+    Exhaustive (n <= ENUMERATION_LIMIT); a proxy for the generator class
+    on which the divergence vanishes only on consistent (x, sigma) pairs.
     """
-    if f.n > 8:
-        raise ValueError("exhaustive extreme-point check limited to n <= 8")
-    H = np.array([extreme_subgradient(f, s).values for s in all_permutations(f.n)])
+    _, H = extreme_subgradients(f)
     # lexicographic sort makes near-duplicates adjacent
-    order = np.lexsort(H.T[::-1])
-    H = H[order]
+    H = H[np.lexsort(H.T[::-1])]
     gaps = np.max(np.abs(np.diff(H, axis=0)), axis=1)
     return bool(np.all(gaps > tol))

@@ -14,12 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .permutation import Permutation, all_permutations, induced_ordering
+from .permutation import Permutation, induced_ordering
 from .submodular import SetFunction, from_descriptor
 from .aggregate import ScoreMatrix
 from .divergence import lb_divergence, lb_divergence_batch
+from .lovasz import ENUMERATION_LIMIT, extreme_subgradient, extreme_subgradients
 
-EXACT_NORMALIZATION_LIMIT = 8
 _MC_CHUNK = 4096
 
 
@@ -125,28 +125,23 @@ class ExtendedDensity(NamedTuple):
     normalized: bool
 
 
-def _neg_energy(model: ExtendedLovaszMallows, sigma: Permutation) -> float:
-    theta = np.array(model.concentrations)
-    return -float(theta @ lb_divergence_batch(model.generator,
-                                              model.scores.rows, sigma))
-
-
 def extended_log_density(model: ExtendedLovaszMallows,
                          sigma: Permutation) -> ExtendedDensity:
     """Log probability of sigma under the extended model.
 
-    Exact normalization sums over all n! permutations and is capped at
-    n <= 8; beyond that the unnormalized value is returned with
-    normalized=False.
+    Normalized exactly over all n! permutations for n <= ENUMERATION_LIMIT
+    as -log sum_pi exp <h_pi - h_sigma, X^T theta> (the f-hat terms cancel);
+    beyond that the unnormalized value comes with normalized=False.
     """
-    n = model.generator.n
-    value = _neg_energy(model, sigma)
-    if n > EXACT_NORMALIZATION_LIMIT:
-        return ExtendedDensity(value, False)
-    energies = np.array([_neg_energy(model, s) for s in all_permutations(n)])
-    shift = energies.max()
-    log_Z = shift + math.log(np.exp(energies - shift).sum())
-    return ExtendedDensity(value - log_Z, True)
+    theta = np.array(model.concentrations)
+    if model.generator.n > ENUMERATION_LIMIT:
+        return ExtendedDensity(-float(theta @ lb_divergence_batch(
+            model.generator, model.scores.rows, sigma)), False)
+    v = theta @ model.scores.rows
+    delta = (extreme_subgradients(model.generator)[1]
+             - extreme_subgradient(model.generator, sigma).values) @ v
+    top = delta.max()
+    return ExtendedDensity(-float(top + math.log(np.exp(delta - top).sum())), True)
 
 
 def map_permutation(model: ExtendedLovaszMallows) -> Permutation:

@@ -6,6 +6,7 @@ normalized so that f(empty) = 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -152,6 +153,8 @@ class GraphCut(SetFunction):
         W = np.asarray(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
+        if not np.all(np.isfinite(W)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(W, W.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(W < 0):
@@ -242,6 +245,8 @@ class ExplicitTable(SetFunction):
         table = np.asarray(values, dtype=float)
         if table.size != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {table.size}")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("values must be finite")
         self.table = table - table[0]
 
     @classmethod
@@ -340,27 +345,20 @@ def is_submodular(f: SetFunction, tol: float = _TOL) -> bool:
     f(A + i) + f(A + j) >= f(A + i + j) + f(A) for all A and i != j outside A.
     """
     F = _tabulate(f)
-    n = f.n
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            mi = mask | 1 << i
-            for j in range(i + 1, n):
-                if mask >> j & 1:
-                    continue
-                mj = mask | 1 << j
-                if F[mi] + F[mj] < F[mi | mj] + F[mask] - tol:
-                    return False
+    A = np.arange(1 << f.n)
+    for i, j in itertools.combinations(range(f.n), 2):
+        B = A[A & (1 << i | 1 << j) == 0]
+        if np.any(F[B | 1 << i] + F[B | 1 << j] < F[B | 1 << i | 1 << j] + F[B] - tol):
+            return False
     return True
 
 
 def is_monotone(f: SetFunction, tol: float = _TOL) -> bool:
     """Exhaustively check f(A) <= f(A + j) for all A and j, within `tol`."""
     F = _tabulate(f)
-    n = f.n
-    for mask in range(1 << n):
-        for i in range(n):
-            if not mask >> i & 1 and F[mask | 1 << i] < F[mask] - tol:
-                return False
+    A = np.arange(1 << f.n)
+    for i in range(f.n):
+        B = A[A & 1 << i == 0]
+        if np.any(F[B | 1 << i] < F[B] - tol):
+            return False
     return True

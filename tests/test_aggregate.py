@@ -9,7 +9,8 @@ from lbdiv import (CardinalityConcave, GraphCut, Permutation, ScoreMatrix,
                    all_permutations, brute_force_mean, feature_inference,
                    induced_ordering, lb_divergence, lb_kmeans, mean_ordering)
 from lbdiv.dataio import ParseError
-from conftest import random_cardinality, random_concave_gains, random_graph_cut
+from conftest import (generator_zoo, random_cardinality, random_concave_gains,
+                      random_graph_cut)
 
 PAPER_ROWS = [[1.9, 2], [1.8, 2], [1.95, 2], [2, 1], [2.5, 1.2]]
 
@@ -152,6 +153,21 @@ class TestBruteForceMean:
     def test_paper_style_two_item_instance(self):
         assert brute_force_mean(ScoreMatrix(PAPER_ROWS),
                                 CardinalityConcave.sqrt(2))(1) == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_constant_rows_give_the_identity(self, rng, scale):
+        # every ordering attains the minimum; rounding must not pick one
+        n = 6
+        m = ScoreMatrix(np.full((3, n), 0.37 * scale))
+        for f in generator_zoo(rng, n):
+            assert brute_force_mean(m, f) == Permutation.identity(n)
+            assert brute_force_mean(m, f, weights=[0.3, 1.0, 2.5]) == \
+                Permutation.identity(n)
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError, match="width"):
+            brute_force_mean(ScoreMatrix(np.zeros((2, 4))),
+                             CardinalityConcave.sqrt(3))
 
     def test_size_limit(self):
         with pytest.raises(ValueError):

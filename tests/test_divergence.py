@@ -39,6 +39,15 @@ class TestGenericDivergence:
             x = rng.random(5)
             assert lb_divergence(f, x, induced_ordering(x)) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_zero_on_consistent_permutation_at_scale(self, rng, scale):
+        n = 10
+        X = scale * rng.random((100, n))
+        for f in (GraphCut.uniform(n), CardinalityConcave.sqrt(n),
+                  CardinalityConcave.top_m(n, 3)):
+            for x in X:
+                assert lb_divergence(f, x, induced_ordering(x)) == 0.0
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             lb_divergence(CardinalityConcave.top_m(3, 1), [0.1, 0.2],
@@ -90,6 +99,11 @@ class TestSpecializedForms:
         gains = random_concave_gains(rng, 5)
         x = rng.random(5)
         assert lb_cardinality(gains, x, induced_ordering(x)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cardinality_non_finite_gains_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            lb_cardinality([bad, 0.0], [0.9, 0.1], Permutation([1, 2]))
 
     def test_cardinality_spearman_like_weights(self, rng):
         # gains n - i turn the divergence into a rank-weighted sum gap
@@ -433,6 +447,13 @@ class TestDiscountProfile:
             DiscountProfile((1.0, 0.0), 2)  # nonpositive
         with pytest.raises(ValueError):
             DiscountProfile((1.0, 0.5), 3)  # cutoff too large
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscountProfile((bad, 1.0), 1)
+        with pytest.raises(ValueError, match="finite"):
+            DiscountProfile((1.0, bad), 2)
 
     def test_from_json(self):
         p = DiscountProfile.from_json("[1.0, 0.5, 0.25]", 2)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular,
-                   Permutation, Sum, TieError, TieRule,
+                   Permutation, Sum, TieError, TieRule, all_permutations,
                    averaged_subgradient, extreme_subgradient,
                    has_distinct_extreme_points, induced_ordering,
                    lovasz_extension, tie_consistent_count,
                    tie_consistent_permutations)
+from lbdiv.lovasz import ENUMERATION_LIMIT, extreme_subgradients
 from lbdiv.submodular import CUT_CHUNK_ROWS
 from conftest import generator_zoo
 
@@ -205,6 +206,26 @@ def every_family(rng, n):
         Sum([cut, CardinalityConcave.sqrt(n), modular]),
         ExplicitTable(n, rng.normal(size=1 << n)),
     ]
+
+
+class TestExtremeSubgradients:
+    def test_rows_match_extreme_subgradient_for_every_family(self, rng):
+        for n in range(1, 6):
+            for f in every_family(rng, n):
+                P, H = extreme_subgradients(f)
+                perms = list(all_permutations(n))
+                assert [tuple(p) for p in P.tolist()] == \
+                    [s.items for s in perms]
+                # the table differences f(S) values, extreme_subgradient
+                # differences f.chain_values: equal up to summation order
+                expected = np.array([extreme_subgradient(f, s).values
+                                     for s in perms])
+                np.testing.assert_allclose(H, expected, rtol=0, atol=1e-12)
+
+    def test_limit(self):
+        with pytest.raises(ValueError, match="limited"):
+            extreme_subgradients(
+                CardinalityConcave.sqrt(ENUMERATION_LIMIT + 1))
 
 
 def greedy_values(f, X):

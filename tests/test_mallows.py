@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lbdiv import (CardinalityConcave, ExtendedLovaszMallows, GraphCut,
-                   LovaszMallows, Permutation, ScoreMatrix, all_permutations,
-                   estimate_log_Z, extended_log_density, induced_ordering,
-                   lb_divergence, log_density_unnormalized, map_permutation,
-                   mean_ordering)
+from lbdiv import (CardinalityConcave, ExplicitTable, ExtendedLovaszMallows,
+                   GraphCut, LovaszMallows, Permutation, ScoreMatrix,
+                   all_permutations, estimate_log_Z, extended_log_density,
+                   induced_ordering, lb_divergence, lb_divergence_batch,
+                   log_density_unnormalized, map_permutation, mean_ordering)
 
 SQRT3_DIV = 0.038550526870925236
 
@@ -117,6 +117,35 @@ class TestExtendedModel:
             total = sum(math.exp(extended_log_density(model, s).log_density)
                         for s in all_permutations(n))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        GraphCut.uniform,
+        lambda n: ExplicitTable.from_function(
+            n, lambda S: math.sqrt(len(S)) + 0.1 * len(S) * (n - len(S))),
+    ], ids=["cut", "table"])
+    def test_matches_per_permutation_normalization(self, rng, make):
+        # the oracle: one divergence batch per permutation, summed here
+        n = 7
+        f = make(n)
+        rows = rng.random((5, n))
+        theta = rng.uniform(0.2, 3.0, size=5)
+        model = ExtendedLovaszMallows(f, ScoreMatrix(rows), tuple(theta))
+        energies = np.array([-theta @ lb_divergence_batch(f, rows, s)
+                             for s in all_permutations(n)])
+        shift = energies.max()
+        log_Z = shift + math.log(np.exp(energies - shift).sum())
+        for _ in range(5):
+            sigma = Permutation.random(n, rng)
+            value = extended_log_density(model, sigma)
+            assert value.normalized
+            expected = -theta @ lb_divergence_batch(f, rows, sigma) - log_Z
+            assert value.log_density == pytest.approx(expected, rel=1e-12,
+                                                      abs=1e-12)
+
+    def test_length_mismatch(self, rng):
+        model = random_extended(rng, 3)
+        with pytest.raises(ValueError):
+            extended_log_density(model, Permutation.identity(4))
 
     def test_large_n_unnormalized_flag(self, rng):
         n = 9

@@ -100,6 +100,30 @@ class TestStructuralChecks:
         assert not is_monotone(CardinalityConcave.proper_subset(4))
         assert not is_monotone(random_graph_cut(rng, 4))
 
+    def test_checks_match_the_mask_loops(self, rng):
+        # the per-mask loops the table checks replaced, kept as the reference
+        def loop_submodular(F, n, tol=1e-9):
+            return not any(
+                F[A | 1 << i] + F[A | 1 << j] < F[A | 1 << i | 1 << j] + F[A] - tol
+                for A in range(1 << n) for i in range(n) for j in range(i + 1, n)
+                if not A >> i & 1 and not A >> j & 1)
+
+        def loop_monotone(F, n, tol=1e-9):
+            return not any(F[A | 1 << i] < F[A] - tol
+                           for A in range(1 << n) for i in range(n)
+                           if not A >> i & 1)
+
+        verdicts = set()
+        for n in (1, 2, 3, 4, 5):
+            sizes = np.array([bin(m).count("1") for m in range(1 << n)])
+            for noise in (0.0, 1e-3, 0.05, 0.5):
+                values = np.sqrt(sizes) + noise * rng.normal(size=1 << n)
+                f = ExplicitTable(n, values)
+                expected = (loop_submodular(f.table, n), loop_monotone(f.table, n))
+                assert (is_submodular(f), is_monotone(f)) == expected
+                verdicts.add(expected)
+        assert len(verdicts) >= 3  # the inputs reach both answers of each check
+
     def test_too_large_for_exhaustive_check(self):
         with pytest.raises(ValueError):
             is_submodular(CardinalityConcave.sqrt(21))
@@ -143,6 +167,11 @@ class TestValidation:
             CardinalityConcave.truncated([bad, 1.0, 0.5], 2)
         with pytest.raises(ValueError, match="finite"):
             Modular([bad])
+        with pytest.raises(ValueError, match="finite"):
+            ExplicitTable(2, [0.0, bad, 1.0, 2.0])
+        # finiteness is checked before symmetry, which NaN would fail
+        with pytest.raises(ValueError, match="weights must be finite"):
+            GraphCut([[0.0, bad], [bad, 0.0]])
 
     def test_asymmetric_weights_rejected(self):
         with pytest.raises(ValueError):
