@@ -29,7 +29,10 @@ class ScoreMatrix:
     row_ids: tuple | None = None
 
     def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        try:
+            rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"scores must be real numbers: {exc}") from None
         if rows.size == 0:
             raise ValueError("need at least one row")
         if not np.all(np.isfinite(rows)):
@@ -56,11 +59,17 @@ class ScoreMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "ScoreMatrix":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ParseError("JSON score matrix nested too deeply") from None
         if isinstance(raw, dict):
             if "rows" not in raw:
                 raise ParseError("JSON score matrix object needs a 'rows' key")
-            return cls(raw["rows"], tuple(raw["row_ids"]) if "row_ids" in raw else None)
+            ids = raw.get("row_ids")
+            if "row_ids" in raw and not isinstance(ids, list):
+                raise ParseError("JSON score matrix 'row_ids' must be a list")
+            return cls(raw["rows"], None if ids is None else tuple(ids))
         return cls(raw)
 
 

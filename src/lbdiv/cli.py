@@ -9,6 +9,7 @@ Value-typed options accept either an inline comma-separated string or
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,36 +92,77 @@ def resolve_generator(spec: str, n: int) -> SetFunction:
     raise ValueError(f"unknown generator spec: {spec!r}")
 
 
-def _sig(value):
-    """Round floats to 12 significant digits, recursively."""
+def _cell(value, csv: bool) -> str:
+    """A scalar as CSV or JSON text, a float rounded to 12 significant digits."""
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        r = float(f"{value:.12g}")
+        if csv:
+            return f"{r:.12g}"
+        return repr(r) if math.isfinite(r) else json.dumps(r)
+    return str(value) if csv else json.dumps(value)
+
+
+def _cells(a: np.ndarray, csv: bool) -> np.ndarray:
+    """_cell of every element of a, written once per distinct bit pattern
+    (so -0.0 and 0.0 stay apart, and ints keep their int text)."""
+    floats = a.dtype.kind == "f"
+    keys = np.ascontiguousarray(a, np.float64).view(np.uint64) if floats else a
+    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+    values = (uniq.view(np.float64) if floats else uniq).tolist()
+    text = np.array([_cell(v, csv) for v in values], dtype=object)
+    return text[inverse].reshape(a.shape)
+
+
+def _brackets(ends: str, lists: list, indent, level: int) -> list:
+    """Each list of item texts bracketed as json.dumps does at this level."""
+    inner = "" if indent is None else "\n" + " " * (indent * (level + 1))
+    outer = "" if indent is None else "\n" + " " * (indent * level)
+    sep = "," + (inner or " ")
+    return [ends[0] + inner + sep.join(items) + outer + ends[1] if items
+            else ends for items in lists]
+
+
+def _json(value, indent=None, level: int = 0) -> str:
+    """json.dumps(value, indent=indent) with every float rounded to 12
+    significant digits and every ndarray read as its .tolist(); dict keys
+    are strings."""
+    if isinstance(value, np.ndarray):  # innermost lists first, in bulk
+        text = _cells(value, False)
+        for axis in reversed(range(value.ndim)):
+            lists = text.reshape(math.prod(value.shape[:axis]),
+                                 value.shape[axis]).tolist()
+            text = np.array(_brackets("[]", lists, indent, level + axis),
+                            dtype=object)
+        return text.ravel()[0]
     if isinstance(value, dict):
-        return {k: _sig(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sig(v) for v in value]
-    return value
+        items = [f"{json.dumps(k)}: {_json(v, indent, level + 1)}"
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, indent, level + 1) for v in value]
+    else:
+        return _cell(value, False)
+    return _brackets("{}" if isinstance(value, dict) else "[]", [items],
+                     indent, level)[0]
+
+
+def _report_text(report, fmt: str) -> str:
+    """Indented JSON, or CSV: a dict as key,value lines (containers as
+    compact JSON), a (header, 2-D array) pair as a table."""
+    if fmt == "json":
+        return _json(report, 2) + "\n"
+    if isinstance(report, dict):
+        lines = [f"{key},{_json(val)}"
+                 if isinstance(val, (dict, list, tuple, np.ndarray))
+                 else f"{key},{_cell(val, True)}"
+                 for key, val in report.items()]
+    else:
+        header, rows = report
+        lines = [",".join(header), *map(",".join, _cells(rows, True).tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(ctx, report):
-    fmt = ctx.obj["format"]
-    report = _sig(report)
-    if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        lines = []
-        if isinstance(report, list):  # grid rows
-            for row in report:
-                lines.append(",".join(f"{v:.12g}" if isinstance(v, float)
-                                      else str(v) for v in row))
-        else:
-            for key, val in report.items():
-                if isinstance(val, (dict, list)):
-                    val = json.dumps(val)
-                elif isinstance(val, float):
-                    val = f"{val:.12g}"
-                lines.append(f"{key},{val}")
-        text = "\n".join(lines) + "\n"
+    text = _report_text(report, ctx.obj["format"])
     out = ctx.obj["output"]
     if out is None:
         click.echo(text, nl=False)
@@ -172,7 +214,7 @@ def divergence(ctx, x_source, sigma_source):
         "sigma": list(sigma.items),
         "sigma_x": list(induced_ordering(x, rule).items),
         "confidence_bound": confidence_bound(f, x),
-        "inputs": {"x": x.tolist()},
+        "inputs": {"x": x},
     })
 
 
@@ -190,13 +232,12 @@ def aggregate(ctx, matrix_source, weights):
     mu_sorted = np.sort(mu)[::-1]
     variation = float(np.abs(np.diff(mu_sorted)).sum())
     _emit(ctx, {
-        "mean_vector": mu.tolist(),
+        "mean_vector": mu,
         "ordering": list(sigma.items),
         "objective": aggregation_objective(matrix, f, sigma, w),
         "total_variation_of_mean": variation,
         "low_confidence": variation < LOW_CONFIDENCE_VARIATION,
-        "inputs": {"rows": matrix.rows.tolist(),
-                   "weights": None if w is None else w.tolist()},
+        "inputs": {"rows": matrix.rows, "weights": w},
     })
 
 
@@ -213,8 +254,9 @@ def cluster(ctx, matrix_source, k, max_iter, tol):
     result = lb_kmeans(matrix, f, k, max_iter=max_iter, tol=tol,
                        seed=ctx.obj["seed"], rule=ctx.obj["rule"])
     report = result.to_dict()
+    report["assignments"] = np.array(result.assignments)
     report["k"] = k
-    report["inputs"] = {"rows": matrix.rows.tolist(), "seed": ctx.obj["seed"]}
+    report["inputs"] = {"rows": matrix.rows, "seed": ctx.obj["seed"]}
     _emit(ctx, report)
 
 
@@ -254,7 +296,7 @@ def eval_cmd(ctx, metric, sigma_source, pi_source, relevance, discount,
         else:
             profile = DiscountProfile.from_json(_read_source(discount), cutoff)
         value = ndcg_loss(r, sigma, profile, ctx.obj["rule"])
-        inputs.update(relevance=r.tolist(), discount=list(profile.values),
+        inputs.update(relevance=r, discount=list(profile.values),
                       cutoff=profile.cutoff)
     else:
         if good is None or bad is None:
@@ -298,7 +340,7 @@ def mallows(ctx, subaction, sigma_source, x_source, theta, matrix_source,
                 "theta": theta,
                 "sigma": list(sigma.items),
                 "generator": ctx.obj["generator"],
-                "inputs": {"x": x.tolist()},
+                "inputs": {"x": x},
             })
         else:
             estimate, std_error = estimate_log_Z(model, samples,
@@ -323,9 +365,9 @@ def mallows(ctx, subaction, sigma_source, x_source, theta, matrix_source,
         sigma = map_permutation(model)
         _emit(ctx, {
             "map": list(sigma.items),
-            "thetas": t.tolist(),
+            "thetas": t,
             "generator": ctx.obj["generator"],
-            "inputs": {"rows": matrix.rows.tolist()},
+            "inputs": {"rows": matrix.rows},
         })
 
 
@@ -351,14 +393,13 @@ def grid(ctx, sigma_source, resolution, dims):
     points = np.column_stack([g.ravel() for g in grids])
     values = lb_divergence_batch(f, points, sigma, ctx.obj["rule"])
     header = [f"x{i + 1}" for i in range(dims)] + ["divergence"]
-    rows = [header] + np.column_stack([points, values]).tolist()
+    rows = np.column_stack([points, values])
     if ctx.obj["format"] == "json":
-        _emit(ctx, {"columns": header,
-                    "rows": [r for r in rows[1:]],
+        _emit(ctx, {"columns": header, "rows": rows,
                     "sigma": list(sigma.items),
                     "generator": ctx.obj["generator"]})
     else:
-        _emit(ctx, rows)
+        _emit(ctx, (header, rows))
 
 
 def main():

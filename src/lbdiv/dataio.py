@@ -43,22 +43,25 @@ def parse_csv_matrix(text: str):
         start = 1
         if len(lines) == 1:
             raise ParseError("no data rows after header")
-    rows = []
-    width = None
-    for idx in range(start, len(lines)):
-        cells = [c.strip() for c in lines[idx].split(",")]
-        try:
-            row = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value in row: {exc}",
-                             line=idx + 1) from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"expected {width} columns, found {len(row)}", line=idx + 1)
-        rows.append(row)
-    out = np.array(rows)
+    body = lines[start:]
+    width = body[0].count(",") + 1
+    try:  # every cell at once; float() strips the whitespace .strip() would
+        if any(ln.count(",") != width - 1 for ln in body):
+            raise ValueError("ragged rows")
+        cells = list(map(float, ",".join(body).split(",")))
+        out = np.array(cells).reshape(len(body), width)
+    except ValueError:  # again line by line, to name the first bad line
+        rows = []
+        for idx, line in enumerate(body, start + 1):
+            try:
+                rows.append([float(c.strip()) for c in line.split(",")])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric value in row: {exc}",
+                                 line=idx) from None
+            if len(rows[-1]) != width:
+                raise ParseError(f"expected {width} columns, "
+                                 f"found {len(rows[-1])}", line=idx)
+        out = np.array(rows)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise ParseError("non-finite value in row",

@@ -46,6 +46,21 @@ class TestScoreMatrix:
         with pytest.raises(ParseError):
             ScoreMatrix.from_json(json.dumps({"row_ids": ["r1"]}))
 
+    @pytest.mark.parametrize("ids", [5, "ab", None, {"a": 1}])
+    def test_json_row_ids_must_be_a_list(self, ids):
+        with pytest.raises(ParseError, match="row_ids"):
+            ScoreMatrix.from_json(json.dumps({"rows": [[1, 2], [3, 4]],
+                                              "row_ids": ids}))
+
+    @pytest.mark.parametrize("rows", [[[1, {}]], {"a": 1}, [[10 ** 400, 1]]])
+    def test_json_rows_must_be_real_numbers(self, rows):
+        with pytest.raises(ValueError, match="real numbers"):
+            ScoreMatrix.from_json(json.dumps({"rows": rows}))
+
+    def test_json_nested_too_deeply(self):
+        with pytest.raises(ParseError, match="nested"):
+            ScoreMatrix.from_json("[" * 100_000)
+
 
 class TestMeanOrdering:
     def test_low_confidence_rows_are_outvoted(self):

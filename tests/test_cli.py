@@ -304,6 +304,13 @@ class TestInputBoundary:
         err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
         assert "'rows'" in err
 
+    @pytest.mark.parametrize("ids", ["5", '"ab"'])
+    def test_json_row_ids_not_a_list(self, monkeypatch, capsys, tmp_path, ids):
+        data = tmp_path / "rows.json"
+        data.write_text('{"rows": [[1, 2], [3, 4]], "row_ids": %s}' % ids)
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
+        assert "'row_ids' must be a list" in err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_cell(self, monkeypatch, capsys, tmp_path, cell):
         data = tmp_path / "rows.csv"
