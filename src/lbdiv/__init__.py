@@ -8,10 +8,8 @@ from .permutation import (Permutation, TieError, TieRule, all_permutations,
 from .submodular import (CardinalityConcave, ExplicitTable, GraphCut,
                          Modular, SetFunction, Sum, from_descriptor,
                          is_monotone, is_submodular)
-from .lovasz import (ExtremeSubgradient, averaged_subgradient,
-                     extreme_subgradient, has_distinct_extreme_points,
-                     lovasz_extension, tie_consistent_count,
-                     tie_consistent_permutations)
+from .lovasz import (averaged_subgradient, extreme_subgradient,
+                     has_distinct_extreme_points, lovasz_extension)
 from .divergence import (DiscountProfile, PartialOrder, auc_loss,
                          confidence_bound, lb_cardinality, lb_cut,
                          lb_divergence, lb_divergence_batch, ndcg_loss,

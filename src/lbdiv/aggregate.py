@@ -33,6 +33,8 @@ class ScoreMatrix:
             rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"scores must be real numbers: {exc}") from None
+        if rows.ndim > 2:
+            raise ValueError(f"score matrix must be 2-d, got {rows.ndim}-d")
         if rows.size == 0:
             raise ValueError("need at least one row")
         if not np.all(np.isfinite(rows)):
@@ -79,8 +81,8 @@ def _resolve_weights(matrix: ScoreMatrix, weights):
     w = np.asarray(weights, dtype=float)
     if w.size != matrix.n_rows:
         raise ValueError("one weight per row required")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be finite and positive")
     return w
 
 
@@ -129,6 +131,8 @@ def feature_inference(features: ScoreMatrix, w,
     w = np.asarray(w, dtype=float)
     if w.size != features.n_rows:
         raise ValueError("one weight per feature required")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("feature weights must be finite")
     return induced_ordering(w @ features.rows, rule)
 
 

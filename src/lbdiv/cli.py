@@ -404,7 +404,10 @@ def grid(ctx, sigma_source, resolution, dims):
 
 def main():
     try:
-        cli(standalone_mode=False)
+        # overflow surfaces as a non-finite result that the library rejects,
+        # so numpy's warnings would only add lines to the one-line error
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli(standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)

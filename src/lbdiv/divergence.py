@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import Permutation, TieRule, induced_ordering, reject_ties
-from .submodular import SetFunction
+from .submodular import CardinalityConcave, GraphCut, SetFunction
 from .lovasz import extreme_subgradient
 
 _ZERO_GUARD = 1e-12
@@ -47,15 +47,18 @@ def lb_divergence_batch(f: SetFunction, X, sigma: Permutation,
     extension (a sorted-row dot product for the cardinality families, the
     weighted total variation for graph cuts, X w for modular functions)
     minus one extreme subgradient. Under TieRule.REJECT a row with tied
-    entries raises TieError.
+    entries raises TieError. Raises if a result is not finite, which
+    covers non-finite scores and scores large enough to overflow.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != f.n or len(sigma) != f.n:
         raise ValueError("length mismatch")
     if rule is TieRule.REJECT:
         reject_ties(X)
-    h = extreme_subgradient(f, sigma).values
+    h = extreme_subgradient(f, sigma)
     vals = f.lovasz_batch(X) - X @ h
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("divergence overflowed or scores are not finite")
     # f-hat and <x, h_sigma> round differently; noise within the guard is 0
     guard = _ZERO_GUARD * np.maximum(np.abs(X) @ np.abs(h), 1.0)
     return np.where(np.abs(vals) <= guard, 0.0, vals)
@@ -67,12 +70,10 @@ def lb_cardinality(gains, x, sigma: Permutation,
 
     sum_i x(sigma_x(i)) gains(i) - sum_i x(sigma(i)) gains(i).
     """
-    gains = np.asarray(gains, dtype=float)
+    gains = CardinalityConcave(gains).gains
     x = np.asarray(x, dtype=float)
     if gains.size != x.size or len(sigma) != x.size:
         raise ValueError("length mismatch")
-    if not np.all(np.isfinite(gains)) or np.any(np.diff(gains) > 1e-9):
-        raise ValueError("gain table must be finite and non-increasing")
     sx = induced_ordering(x, rule)
     xs = x[np.array(sx.items) - 1]
     xo = x[np.array(sigma.items) - 1]
@@ -88,13 +89,11 @@ def lb_cut(W, x, sigma: Permutation, orientation_count: int = 2,
     each pair and matches the generic inner-product form; 1 counts each
     pair once (the weighted-Kendall convention).
     """
-    W = np.asarray(W, dtype=float)
+    W = GraphCut(W).weights
     x = np.asarray(x, dtype=float)
     n = x.size
     if W.shape != (n, n) or len(sigma) != n:
         raise ValueError("length mismatch")
-    if not np.array_equal(W, W.T):
-        raise ValueError("weight matrix must be symmetric")
     if orientation_count not in (1, 2):
         raise ValueError("orientation_count must be 1 or 2")
     inv_x = induced_ordering(x, rule).inverse()
@@ -182,8 +181,9 @@ class PartialOrder:
             above, below, weight = int(above), int(below), float(weight)
             if above == below:
                 raise ValueError(f"constraint pairs item {above} with itself")
-            if weight <= 0:
-                raise ValueError("constraint weights must be positive")
+            if not 0 < weight < math.inf:
+                raise ValueError(
+                    "constraint weights must be finite and positive")
             cons.append((above, below, weight))
         object.__setattr__(self, "constraints", tuple(cons))
 
@@ -197,6 +197,8 @@ class PartialOrder:
 def partial_order_distortion(order: PartialOrder, x) -> float:
     """Weighted hinge violation of the pairwise constraints by x."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("scores must be finite")
     total = 0.0
     for above, below, weight in order.constraints:
         if not (1 <= above <= x.size and 1 <= below <= x.size):
@@ -217,6 +219,8 @@ def confidence_bound(f: SetFunction, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.size != f.n:
         raise ValueError("length mismatch")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("scores must be finite")
     eps = float(x.max() - x.min())
     if eps == 0.0:
         return 0.0

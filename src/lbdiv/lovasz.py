@@ -2,43 +2,29 @@
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .permutation import Permutation, TieRule, reject_ties
-from .submodular import SetFunction, _tabulate
+from .submodular import SetFunction, _subset_values, _tabulate
 
 ENUMERATION_LIMIT = 8  # largest n for the exhaustive n! enumerations
 
 
-@dataclass(frozen=True)
-class ExtremeSubgradient:
-    """The vector of greedy marginal gains of `generator` along `order`.
+def extreme_subgradient(f: SetFunction, sigma: Permutation) -> np.ndarray:
+    """Greedy marginal gains of f along the prefix chain of sigma.
 
-    values[j - 1] is the component for item j; the components telescope to
-    f(V).
+    h[j - 1] is the component for item j: the difference of f-hat at the
+    indicators of the prefix sets ending and starting at j's rank. The
+    components telescope to f(V).
     """
-
-    values: np.ndarray
-    generator: SetFunction = field(repr=False)
-    order: Permutation
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-def extreme_subgradient(f: SetFunction, sigma: Permutation) -> ExtremeSubgradient:
-    """Greedy marginal gains of f along the prefix chain of sigma."""
     if len(sigma) != f.n:
         raise ValueError("permutation length does not match the ground set")
-    chain = f.chain_values(sigma.items)
-    marginals = np.diff(chain, prepend=0.0)
-    h = np.empty(f.n)
-    h[np.array(sigma.items) - 1] = marginals
-    return ExtremeSubgradient(h, f, sigma)
+    ranks = np.argsort(sigma.items)
+    chain = np.zeros(f.n + 1)
+    chain[1:] = f.lovasz_batch(np.arange(f.n)[:, None] >= ranks)
+    return chain[ranks + 1] - chain[ranks]
 
 
 def extreme_subgradients(f: SetFunction):
@@ -69,48 +55,45 @@ def lovasz_extension(f: SetFunction, x,
     x = np.asarray(x, dtype=float)
     if x.size != f.n:
         raise ValueError("length mismatch")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("scores must be finite")
     if rule is TieRule.REJECT:
         reject_ties(x)
     return float(f.lovasz_batch(x.reshape(1, -1))[0])
 
 
-def tie_consistent_count(y) -> int:
-    """Number of descending orderings consistent with y (product of block factorials)."""
-    _, counts = np.unique(np.asarray(y, dtype=float), return_counts=True)
-    return math.prod(math.factorial(int(c)) for c in counts)
-
-
-def tie_consistent_permutations(y):
-    """Yield every permutation that sorts y in (weakly) descending order."""
-    y = np.asarray(y, dtype=float)
-    values = np.unique(y)[::-1]
-    blocks = [[int(i) + 1 for i in np.flatnonzero(y == v)] for v in values]
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        yield Permutation(itertools.chain.from_iterable(parts))
-
-
-def averaged_subgradient(f: SetFunction, y, zero_at_origin: bool = False,
-                         cap: int = math.factorial(ENUMERATION_LIMIT)) -> np.ndarray:
+def averaged_subgradient(f: SetFunction, y,
+                         zero_at_origin: bool = False) -> np.ndarray:
     """Arithmetic mean of the extreme subgradients over all orderings of y.
 
-    For totally ordered y this is the single greedy subgradient. With
+    For totally ordered y this is the single greedy subgradient. Within a
+    tie block B ranked after the items P, the mean is the Shapley value of
+    the game S -> f(P + S) - f(P) (Shapley 1953): the weights
+    |S|! (|B| - |S| - 1)! / |B|! on the 2^|B| values of f-hat at P + S,
+    with no ordering enumerated. A block may hold at most 20 items. With
     `zero_at_origin`, y = 0 maps to the zero vector instead of the plain
     average (the conventional pin for normalized monotone generators).
-    Raises if the number of consistent orderings exceeds `cap`.
     """
     y = np.asarray(y, dtype=float)
     if y.size != f.n:
         raise ValueError("length mismatch")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("scores must be finite")
     if zero_at_origin and np.all(y == 0):
         return np.zeros(f.n)
-    count = tie_consistent_count(y)
-    if count > cap:
-        raise ValueError(
-            f"{count} tie-consistent orderings exceed the enumeration cap {cap}")
-    total = np.zeros(f.n)
-    for sigma in tie_consistent_permutations(y):
-        total += extreme_subgradient(f, sigma).values
-    return total / count
+    h = np.empty(f.n)
+    above = []
+    for value in np.unique(y)[::-1]:
+        block = np.flatnonzero(y == value)
+        F = _subset_values(f, block, above)
+        b = block.size
+        weights = np.array([1.0 / (b * math.comb(b - 1, s)) for s in range(b)])
+        masks = np.arange(1 << b)
+        for t, item in enumerate(block):
+            S = masks[masks & 1 << t == 0]
+            h[item] = weights[np.bitwise_count(S)] @ (F[S | 1 << t] - F[S])
+        above.extend(block)
+    return h
 
 
 def has_distinct_extreme_points(f: SetFunction, tol: float = 1e-9) -> bool:

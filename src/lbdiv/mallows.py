@@ -32,8 +32,8 @@ class LovaszMallows:
     concentration: float
 
     def __post_init__(self):
-        if self.concentration < 0:
-            raise ValueError("concentration must be >= 0")
+        if not 0 <= self.concentration < math.inf:
+            raise ValueError("concentration must be finite and >= 0")
         if len(self.reference) != self.generator.n:
             raise ValueError("reference length does not match the ground set")
 
@@ -100,8 +100,8 @@ class ExtendedLovaszMallows:
         theta = tuple(float(t) for t in self.concentrations)
         if len(theta) != self.scores.n_rows:
             raise ValueError("one concentration per score row required")
-        if any(t < 0 for t in theta):
-            raise ValueError("concentrations must be >= 0")
+        if not all(0 <= t < math.inf for t in theta):
+            raise ValueError("concentrations must be finite and >= 0")
         if self.scores.n_items != self.generator.n:
             raise ValueError("score width does not match the ground set")
         object.__setattr__(self, "concentrations", theta)
@@ -139,7 +139,7 @@ def extended_log_density(model: ExtendedLovaszMallows,
             model.generator, model.scores.rows, sigma)), False)
     v = theta @ model.scores.rows
     delta = (extreme_subgradients(model.generator)[1]
-             - extreme_subgradient(model.generator, sigma).values) @ v
+             - extreme_subgradient(model.generator, sigma)) @ v
     top = delta.max()
     return ExtendedDensity(-float(top + math.log(np.exp(delta - top).sum())), True)
 

@@ -106,11 +106,13 @@ def induced_ordering(x, rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> Permutati
     """Permutation sigma_x sorting x in descending order.
 
     Under LOWEST_INDEX_FIRST, equal values are ordered by ascending item
-    index; under REJECT, tied entries raise TieError.
+    index; under REJECT, tied entries raise TieError. x must be finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("score vector must be 1-d and nonempty")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("score vector must be finite")
     if rule is TieRule.REJECT:
         reject_ties(x)
     # stable sort on -x keeps ascending index inside tie blocks

@@ -14,6 +14,7 @@ import numpy as np
 _CHECK_LIMIT = 20  # exhaustive structural checks are 2^n
 _TOL = 1e-9
 CUT_CHUNK_ROWS = 1024  # rows per block in the graph-cut batch extension
+_TABLE_ROWS = 1 << 12  # indicator rows per lovasz_batch call when tabulating
 
 
 def _as_subset(A, n: int) -> frozenset:
@@ -43,28 +44,24 @@ class SetFunction:
             raise ValueError(f"item {j} already in the subset")
         return self(S | {j}) - self(S)
 
-    def chain_values(self, order) -> np.ndarray:
-        """f evaluated on the prefix chain S_1 subset ... subset S_n of `order`."""
-        out = np.empty(self.n)
-        prefix = set()
-        for k, item in enumerate(order):
-            prefix.add(item)
-            out[k] = self(prefix)
-        return out
-
     def lovasz_batch(self, X) -> np.ndarray:
         """The Lovasz extension at every row of the (m, n) matrix X.
 
-        Generic greedy form: each row sorted in descending order, dotted
-        with the marginal gains along that order. Built-in families
-        override it with closed batch forms.
+        Generic level-set form: with each row sorted in descending order,
+        x_1 >= ... >= x_n, and S_k the items of its first k entries, the
+        sum of (x_k - x_{k+1}) f(S_k) with x_{n+1} = 0. f is called only
+        at the steps where the sorted row drops, so an indicator row costs
+        one call and gives f of its set exactly; f(empty) counts as 0.
+        Built-in families override it with closed batch forms.
         """
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
+        out = np.zeros(X.shape[0])
         for r, row in enumerate(X):
             order = np.argsort(-row, kind="stable")
-            out[r] = row[order] @ np.diff(self.chain_values(order + 1),
-                                          prepend=0.0)
+            steps = -np.diff(row[order], append=0.0)
+            for k in np.flatnonzero(steps):
+                S = frozenset((order[:k + 1] + 1).tolist())
+                out[r] += steps[k] * self(S)
         return out
 
     def descriptor(self) -> dict:
@@ -131,9 +128,6 @@ class CardinalityConcave(SetFunction):
     def __call__(self, A) -> float:
         return float(self._cum[len(_as_subset(A, self.n))])
 
-    def chain_values(self, order) -> np.ndarray:
-        return self._cum[1:].copy()
-
     def lovasz_batch(self, X) -> np.ndarray:
         # each row sorted in descending order, dotted with the rank gains
         X = np.asarray(X, dtype=float)
@@ -179,19 +173,6 @@ class GraphCut(SetFunction):
         inside[[i - 1 for i in S]] = True
         return float(self.weights[np.ix_(inside, ~inside)].sum())
 
-    def chain_values(self, order) -> np.ndarray:
-        # adding item v changes the cut by deg_out(v) - 2 * w(v, prefix)
-        out = np.empty(self.n)
-        deg = self.weights.sum(axis=1)
-        inside = np.zeros(self.n, dtype=bool)
-        value = 0.0
-        for k, item in enumerate(order):
-            v = item - 1
-            value += deg[v] - 2.0 * self.weights[v, inside].sum()
-            inside[v] = True
-            out[k] = value
-        return out
-
     def lovasz_batch(self, X) -> np.ndarray:
         # total variation: sum over edges i < j of W[i, j] |x_i - x_j|,
         # in row blocks so memory stays O(CUT_CHUNK_ROWS * edges)
@@ -220,9 +201,6 @@ class Modular(SetFunction):
     def __call__(self, A) -> float:
         S = _as_subset(A, self.n)
         return float(sum(self.item_weights[i - 1] for i in S))
-
-    def chain_values(self, order) -> np.ndarray:
-        return np.cumsum([self.item_weights[i - 1] for i in order])
 
     def lovasz_batch(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.item_weights
@@ -271,6 +249,14 @@ class ExplicitTable(SetFunction):
             mask |= 1 << (i - 1)
         return float(self.table[mask])
 
+    def lovasz_batch(self, X) -> np.ndarray:
+        # the level-set form, with f(S_k) read at each row's prefix bitmasks
+        X = np.asarray(X, dtype=float)
+        order = np.argsort(-X, axis=1, kind="stable")
+        steps = -np.diff(np.take_along_axis(X, order, axis=1), axis=1,
+                         append=0.0)
+        return (steps * self.table[np.cumsum(1 << order, axis=1)]).sum(axis=1)
+
     def descriptor(self) -> dict:
         return {"kind": "explicit_table", "n": self.n,
                 "values": self.table.tolist()}
@@ -291,9 +277,6 @@ class Sum(SetFunction):
 
     def __call__(self, A) -> float:
         return sum(t(A) for t in self.terms)
-
-    def chain_values(self, order) -> np.ndarray:
-        return np.sum([t.chain_values(order) for t in self.terms], axis=0)
 
     def lovasz_batch(self, X) -> np.ndarray:
         return sum(t.lovasz_batch(X) for t in self.terms)
@@ -329,13 +312,34 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _tabulate(f: SetFunction) -> np.ndarray:
-    if f.n > _CHECK_LIMIT:
+def _subset_values(f: SetFunction, items, base=()) -> np.ndarray:
+    """f-hat at the indicator of base + S for every subset S of `items`
+    (0-based item positions), indexed by the bitmask of S over `items`.
+
+    For a normalized f this is f(base + S) (Bach 2013, section 3.1). The
+    indicator rows go through f.lovasz_batch in blocks of _TABLE_ROWS.
+    """
+    items = np.asarray(items, dtype=int)
+    if items.size > _CHECK_LIMIT:
         raise ValueError(
-            f"exhaustive check needs n <= {_CHECK_LIMIT}, got {f.n}")
-    if isinstance(f, ExplicitTable):
-        return f.table
-    return np.array([f(_mask_to_set(m)) for m in range(1 << f.n)])
+            f"tabulation limited to {_CHECK_LIMIT} items, got {items.size}")
+    bits = 1 << np.arange(items.size)
+    out = np.empty(1 << items.size)
+    for lo in range(0, out.size, _TABLE_ROWS):
+        masks = np.arange(lo, min(lo + _TABLE_ROWS, out.size))
+        X = np.zeros((masks.size, f.n))
+        X[:, list(base)] = 1.0
+        X[:, items] = masks[:, None] & bits != 0
+        out[lo:lo + masks.size] = f.lovasz_batch(X)
+    return out
+
+
+def _tabulate(f: SetFunction) -> np.ndarray:
+    """The 2^n values f(A), indexed by bitmask; the empty slot is read
+    from f itself, so the structural checks see a non-normalized f."""
+    F = _subset_values(f, np.arange(f.n))
+    F[0] = f(frozenset())
+    return F
 
 
 def is_submodular(f: SetFunction, tol: float = _TOL) -> bool:

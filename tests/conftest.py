@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from lbdiv import CardinalityConcave, GraphCut
+from lbdiv import CardinalityConcave, GraphCut, Permutation
 
 
 def random_concave_gains(rng, n):
@@ -34,6 +37,39 @@ def generator_zoo(rng, n):
         random_graph_cut(rng, n),
         random_top_m(rng, n),
     ]
+
+
+def chain_subgradient(f, sigma):
+    """Oracle for extreme_subgradient, independent of lovasz_batch: the
+    differences of f(S_k) through __call__ along sigma's prefix sets S_k,
+    with f(S_0) taken as 0."""
+    chain = [0.0] + [f(sigma.items[:k]) for k in range(1, f.n + 1)]
+    h = np.empty(f.n)
+    h[np.array(sigma.items) - 1] = np.diff(chain)
+    return h
+
+
+def tie_consistent_count(y) -> int:
+    """Number of descending orderings consistent with y (product of block factorials)."""
+    _, counts = np.unique(np.asarray(y, dtype=float), return_counts=True)
+    return math.prod(math.factorial(int(c)) for c in counts)
+
+
+def tie_consistent_permutations(y):
+    """Yield every permutation that sorts y in (weakly) descending order."""
+    y = np.asarray(y, dtype=float)
+    values = np.unique(y)[::-1]
+    blocks = [[int(i) + 1 for i in np.flatnonzero(y == v)] for v in values]
+    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        yield Permutation(itertools.chain.from_iterable(parts))
+
+
+def enumerated_average(f, y):
+    """Oracle for averaged_subgradient: the mean of the chain subgradients
+    over every ordering consistent with y."""
+    perms = list(tie_consistent_permutations(y))
+    assert len(perms) == tie_consistent_count(y)
+    return np.mean([chain_subgradient(f, s) for s in perms], axis=0)
 
 
 @pytest.fixture

@@ -35,6 +35,10 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             ScoreMatrix([[1, 2]], row_ids=("a", "b"))
 
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="score matrix must be 2-d"):
+            ScoreMatrix([[[1, 2]]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):

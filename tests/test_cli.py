@@ -318,6 +318,28 @@ class TestInputBoundary:
         err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
         assert "line 3" in err and "non-finite" in err
 
+    def test_three_dimensional_json_matrix(self, monkeypatch, capsys,
+                                           tmp_path):
+        data = tmp_path / "rows.json"
+        data.write_text("[[[1, 2]]]")
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
+        assert "score matrix must be 2-d" in err
+
+    @pytest.mark.parametrize("rows", ["1e308,-1e308\n",
+                                      "1e308,0\n1e308,0\n"],
+                             ids=["divergence", "mean"])
+    def test_finite_csv_that_overflows(self, tmp_path, rows):
+        # a child process, so that numpy's overflow warnings reach stderr
+        data = tmp_path / "rows.csv"
+        data.write_text(rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lbdiv.cli", "--generator", "cut:uniform",
+             "aggregate", str(data)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "finite" in proc.stderr
+
     def test_non_finite_json_matrix(self, monkeypatch, capsys, tmp_path):
         data = tmp_path / "rows.json"
         data.write_text("[[1, 2], [NaN, 1]]")

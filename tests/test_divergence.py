@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, DiscountProfile, ExplicitTable,
-                   GraphCut, Modular, PartialOrder,
-                   Permutation, Sum, TieError, TieRule, all_permutations,
-                   auc_loss, confidence_bound, extreme_subgradient, induced_ordering, kendall_tau,
+                   ExtendedLovaszMallows, GraphCut, LovaszMallows, Modular,
+                   PartialOrder, Permutation, ScoreMatrix, Sum, TieError,
+                   TieRule, all_permutations, auc_loss, confidence_bound,
+                   feature_inference, induced_ordering, kendall_tau,
                    lb_cardinality, lb_cut, lb_divergence, lb_divergence_batch,
-                   ndcg_loss, partial_order_distortion,
-                   relabel_scores)
-from conftest import generator_zoo, random_concave_gains, random_graph_cut
+                   lovasz_extension, mean_ordering, ndcg_loss,
+                   partial_order_distortion, relabel_scores)
+from conftest import (chain_subgradient, generator_zoo, random_concave_gains,
+                      random_graph_cut)
 
 SQRT3_DIV = 0.038550526870925236  # frozen from the by-hand gain-table sums
 
@@ -83,9 +85,9 @@ class TestGenericDivergence:
         x = np.array([0.5, 0.5, 0.1])
         sigma = Permutation([3, 1, 2])
         base = lb_divergence(f, x, sigma)
-        h_s = extreme_subgradient(f, sigma).values
+        h_s = chain_subgradient(f, sigma)
         for consistent in (Permutation([1, 2, 3]), Permutation([2, 1, 3])):
-            h_x = extreme_subgradient(f, consistent).values
+            h_x = chain_subgradient(f, consistent)
             assert float(x @ (h_x - h_s)) == pytest.approx(base, abs=1e-12)
 
 
@@ -133,6 +135,17 @@ class TestSpecializedForms:
         with pytest.raises(ValueError):
             lb_cut(np.array([[0, 1.0], [2.0, 0]]), [0.1, 0.2],
                    Permutation([1, 2]))
+
+    @pytest.mark.parametrize("W, message", [
+        ([[0, -1], [-1, 0]], "nonnegative"),
+        ([[0, np.nan], [np.nan, 0]], "finite"),
+        ([[1, 1], [1, 0]], "diagonal"),
+    ], ids=["negative", "nan", "diagonal"])
+    def test_cut_validates_weights_as_graph_cut_does(self, W, message):
+        with pytest.raises(ValueError, match=message):
+            lb_cut(W, [1.0, 0.0], Permutation([2, 1]))
+        with pytest.raises(ValueError, match=message):
+            GraphCut(W)
 
     def test_top_m_single_top_value(self, rng):
         x = rng.random(5)
@@ -364,8 +377,8 @@ class TestAlgebraicProperties:
         # d(x||s1) - d(x||s2) = <x, h_{s2} - h_{s1}> everywhere
         for f in generator_zoo(rng, 5):
             s1, s2 = Permutation.random(5, rng), Permutation.random(5, rng)
-            h1 = extreme_subgradient(f, s1).values
-            h2 = extreme_subgradient(f, s2).values
+            h1 = chain_subgradient(f, s1)
+            h2 = chain_subgradient(f, s2)
             for _ in range(20):
                 x = rng.random(5)
                 diff = lb_divergence(f, x, s1) - lb_divergence(f, x, s2)
@@ -459,3 +472,51 @@ class TestDiscountProfile:
         p = DiscountProfile.from_json("[1.0, 0.5, 0.25]", 2)
         assert p.values == (1.0, 0.5, 0.25)
         assert p.cutoff == 2
+
+
+def non_finite_calls(bad):
+    """Every public entry point that takes a score vector or a weight,
+    called with one non-finite entry."""
+    f = CardinalityConcave.sqrt(2)
+    sigma = Permutation([1, 2])
+    x = [0.5, bad]
+    two_rows = ScoreMatrix([[1.0, 2.0], [3.0, 4.0]])
+    return {
+        "induced_ordering": lambda: induced_ordering(x),
+        "lb_divergence": lambda: lb_divergence(f, x, sigma),
+        "lb_divergence_batch": lambda: lb_divergence_batch(
+            GraphCut.uniform(2), [[0.1, 0.2], x], sigma),
+        "lovasz_extension": lambda: lovasz_extension(f, x),
+        "confidence_bound": lambda: confidence_bound(f, x),
+        "partial_order_distortion": lambda: partial_order_distortion(
+            PartialOrder(((1, 2, 1.0),)), x),
+        "lb_cardinality": lambda: lb_cardinality(f.gains, x, sigma),
+        "lb_cut": lambda: lb_cut(GraphCut.uniform(2).weights, x, sigma),
+        # a negative relevance is rejected as such before its finiteness
+        "ndcg_loss": lambda: ndcg_loss([0.5, abs(bad)], sigma,
+                                       DiscountProfile.log2(2)),
+        "mean_ordering": lambda: mean_ordering(two_rows, [1.0, bad]),
+        "feature_inference": lambda: feature_inference(two_rows, [1.0, bad]),
+        "PartialOrder": lambda: PartialOrder(((1, 2, bad),)),
+        "LovaszMallows": lambda: LovaszMallows(f, sigma, bad),
+        "ExtendedLovaszMallows": lambda: ExtendedLovaszMallows(
+            f, two_rows, (1.0, bad)),
+    }
+
+
+# non-finite results are checked after the fact, so numpy may warn first
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(non_finite_calls(0.0)))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(name, bad):
+    with pytest.raises(ValueError, match="finite"):
+        non_finite_calls(bad)[name]()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_to_non_finite_rejected():
+    with pytest.raises(ValueError, match="not finite"):
+        lb_divergence_batch(GraphCut.uniform(2), [[1e308, -1e308]],
+                            Permutation([1, 2]))
+    with pytest.raises(ValueError, match="finite"):
+        mean_ordering(ScoreMatrix([[1e308, 0.0], [1e308, 0.0]]))

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular,
-                   Permutation, Sum, TieError, TieRule, all_permutations,
-                   averaged_subgradient, extreme_subgradient,
-                   has_distinct_extreme_points, induced_ordering,
-                   lovasz_extension, tie_consistent_count,
-                   tie_consistent_permutations)
+                   Permutation, SetFunction, Sum, TieError, TieRule,
+                   all_permutations, averaged_subgradient,
+                   extreme_subgradient, has_distinct_extreme_points,
+                   induced_ordering, is_monotone, is_submodular,
+                   lovasz_extension)
 from lbdiv.lovasz import ENUMERATION_LIMIT, extreme_subgradients
-from lbdiv.submodular import CUT_CHUNK_ROWS
-from conftest import generator_zoo
+from lbdiv.submodular import CUT_CHUNK_ROWS, _tabulate
+from conftest import (chain_subgradient, enumerated_average, generator_zoo,
+                      tie_consistent_count, tie_consistent_permutations)
 
 
 def brute_extension(f, x):
     # oracle: the extension is the max of <h_sigma, x> over all permutations
     best = -math.inf
     for items in itertools.permutations(range(1, f.n + 1)):
-        h = extreme_subgradient(f, Permutation(items)).values
+        h = chain_subgradient(f, Permutation(items))
         best = max(best, float(np.dot(h, x)))
     return best
 
@@ -29,7 +30,7 @@ def brute_extension(f, x):
 class TestExtremeSubgradient:
     def test_max_truncation_by_hand(self):
         h = extreme_subgradient(CardinalityConcave.top_m(2, 1),
-                                Permutation([2, 1])).values
+                                Permutation([2, 1]))
         np.testing.assert_allclose(h, [0.0, 1.0])
 
     def test_cardinality_places_gains_at_ranks(self, rng):
@@ -37,24 +38,33 @@ class TestExtremeSubgradient:
         f = CardinalityConcave.sqrt(n)
         for _ in range(10):
             sigma = Permutation.random(n, rng)
-            h = extreme_subgradient(f, sigma).values
+            h = extreme_subgradient(f, sigma)
             for i in range(1, n + 1):
                 assert h[sigma(i) - 1] == pytest.approx(f.gains[i - 1])
 
     def test_graph_cut_by_hand(self):
-        h = extreme_subgradient(GraphCut.uniform(2), Permutation([1, 2])).values
+        h = extreme_subgradient(GraphCut.uniform(2), Permutation([1, 2]))
         np.testing.assert_allclose(h, [1.0, -1.0])
 
     def test_telescopes_to_full_set(self, rng):
         for f in generator_zoo(rng, 6):
             sigma = Permutation.random(6, rng)
-            h = extreme_subgradient(f, sigma).values
+            h = extreme_subgradient(f, sigma)
             assert h.sum() == pytest.approx(f(range(1, 7)), abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             extreme_subgradient(CardinalityConcave.top_m(3, 1),
                                 Permutation([1, 2]))
+
+    def test_matches_chain_oracle(self, rng):
+        for n in range(1, 7):
+            for f in every_family(rng, n) + user_subclasses(rng, n):
+                for _ in range(10):
+                    sigma = Permutation.random(n, rng)
+                    np.testing.assert_allclose(
+                        extreme_subgradient(f, sigma),
+                        chain_subgradient(f, sigma), rtol=0, atol=1e-12)
 
 
 class TestLovaszExtension:
@@ -83,7 +93,7 @@ class TestLovaszExtension:
             for _ in range(50):
                 x = rng.standard_normal(5)
                 sigma = induced_ordering(x)
-                h = extreme_subgradient(f, sigma).values
+                h = chain_subgradient(f, sigma)
                 assert lovasz_extension(f, x) == pytest.approx(
                     float(x @ h), rel=1e-12, abs=1e-12)
 
@@ -98,7 +108,7 @@ class TestLovaszExtension:
         for f in generator_zoo(rng, 6):
             for _ in range(30):
                 x, y = rng.random(6), rng.random(6)
-                h = extreme_subgradient(f, induced_ordering(y)).values
+                h = extreme_subgradient(f, induced_ordering(y))
                 assert lovasz_extension(f, x) >= \
                     lovasz_extension(f, y) + float(h @ (x - y)) - 1e-9
 
@@ -116,7 +126,7 @@ class TestLovaszExtension:
         x = np.array([0.5, 0.2, 0.5, 0.2])
         value = lovasz_extension(f, x, TieRule.LOWEST_INDEX_FIRST)
         for sigma in tie_consistent_permutations(x):
-            h = extreme_subgradient(f, sigma).values
+            h = chain_subgradient(f, sigma)
             assert float(x @ h) == pytest.approx(value, abs=1e-12)
         y = rng.random(4)
         assert lovasz_extension(f, y, TieRule.REJECT) == \
@@ -148,7 +158,7 @@ class TestAveragedSubgradient:
             x = np.array([0.9, 0.1, 0.6, 0.3])
             np.testing.assert_allclose(
                 averaged_subgradient(f, x),
-                extreme_subgradient(f, induced_ordering(x)).values)
+                extreme_subgradient(f, induced_ordering(x)))
 
     def test_two_way_tie_average(self):
         f = CardinalityConcave.sqrt(2)
@@ -166,11 +176,27 @@ class TestAveragedSubgradient:
             averaged_subgradient(f, np.zeros(3), zero_at_origin=True),
             np.zeros(3))
 
-    def test_enumeration_cap(self):
-        f = CardinalityConcave.sqrt(9)
-        with pytest.raises(ValueError):
-            averaged_subgradient(f, np.zeros(9))  # 9! > 8!
-        averaged_subgradient(f, np.zeros(9), cap=math.factorial(9))
+    def test_tie_block_limit(self):
+        # nine tied items are 9! orderings, averaged without enumerating them
+        np.testing.assert_allclose(
+            averaged_subgradient(CardinalityConcave.sqrt(9), np.zeros(9)),
+            np.full(9, 3.0 / 9), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="limited to 20 items"):
+            averaged_subgradient(CardinalityConcave.sqrt(21), np.zeros(21))
+
+    def test_matches_enumeration_for_random_ties(self, rng):
+        for n in range(1, 7):
+            for f in every_family(rng, n) + user_subclasses(rng, n):
+                for _ in range(3):
+                    y = rng.integers(0, 3, n).astype(float)
+                    np.testing.assert_allclose(
+                        averaged_subgradient(f, y), enumerated_average(f, y),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            averaged_subgradient(CardinalityConcave.sqrt(2), [0.5, bad])
 
 
 class TestDistinctExtremePoints:
@@ -208,18 +234,58 @@ def every_family(rng, n):
     ]
 
 
+class Coverage(SetFunction):
+    """A user subclass that defines only __call__: how many elements the
+    items' cover sets reach together."""
+
+    def __init__(self, covers):
+        super().__init__(len(covers))
+        self.covers = [frozenset(c) for c in covers]
+
+    def __call__(self, A) -> float:
+        return float(len(frozenset().union(*(self.covers[i - 1] for i in A))))
+
+
+class OffsetCoverage(Coverage):
+    """Coverage with f(empty) = 10 above every singleton: non-monotone and
+    non-submodular only through the empty set."""
+
+    def __call__(self, A) -> float:
+        A = frozenset(A)
+        return super().__call__(A) if A else 10.0
+
+
+def user_subclasses(rng, n):
+    covers = [np.flatnonzero(rng.random(6) < 0.4) for _ in range(n)]
+    return [Coverage(covers), OffsetCoverage(covers)]
+
+
+class TestUserSubclass:
+    def test_structural_checks_see_the_empty_set(self, rng):
+        for n in range(2, 6):
+            normalized, offset = user_subclasses(rng, n)
+            assert is_monotone(normalized) and is_submodular(normalized)
+            assert not is_monotone(offset)
+            assert not is_submodular(offset)
+
+    def test_tabulation_matches_call(self, rng):
+        for n in range(1, 7):
+            for f in every_family(rng, n) + user_subclasses(rng, n):
+                expected = [f({i + 1 for i in range(n) if m >> i & 1})
+                            for m in range(1 << n)]
+                np.testing.assert_allclose(_tabulate(f), expected,
+                                           rtol=0, atol=1e-12)
+
+
 class TestExtremeSubgradients:
     def test_rows_match_extreme_subgradient_for_every_family(self, rng):
-        for n in range(1, 6):
-            for f in every_family(rng, n):
+        for n in range(1, 7):
+            for f in every_family(rng, n) + user_subclasses(rng, n):
                 P, H = extreme_subgradients(f)
                 perms = list(all_permutations(n))
                 assert [tuple(p) for p in P.tolist()] == \
                     [s.items for s in perms]
-                # the table differences f(S) values, extreme_subgradient
-                # differences f.chain_values: equal up to summation order
-                expected = np.array([extreme_subgradient(f, s).values
-                                     for s in perms])
+                expected = np.array([chain_subgradient(f, s) for s in perms])
                 np.testing.assert_allclose(H, expected, rtol=0, atol=1e-12)
 
     def test_limit(self):
@@ -232,7 +298,7 @@ def greedy_values(f, X):
     """Per-row greedy value <x, h_{sigma_x}> and its summands' scale."""
     vals, scales = [], []
     for x in X:
-        h = extreme_subgradient(f, induced_ordering(x)).values
+        h = chain_subgradient(f, induced_ordering(x))
         vals.append(float(x @ h))
         scales.append(float(np.abs(x) @ np.abs(h)))
     return np.array(vals), np.array(scales)
@@ -266,7 +332,9 @@ class TestLovaszBatch:
     @settings(max_examples=150, deadline=None)
     @given(score_matrices(), st.integers(0, 2**32 - 1))
     def test_matches_greedy_for_every_family(self, X, seed):
-        for f in every_family(np.random.default_rng(seed), X.shape[1]):
+        rng = np.random.default_rng(seed)
+        n = X.shape[1]
+        for f in every_family(rng, n) + user_subclasses(rng, n):
             assert_batch_matches_greedy(f, X)
 
     def test_cut_crosses_chunk_boundary(self, rng):

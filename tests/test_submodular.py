@@ -149,7 +149,8 @@ class TestTruncatedCardinality:
 
     def test_chain_telescopes_from_empty(self):
         f = CardinalityConcave.truncated([1.0, 0.5, -4.0], 2)
-        np.testing.assert_array_equal(f.chain_values([1, 2, 3]),
+        # f-hat at the prefix indicators of (1, 2, 3) is f on the prefix chain
+        np.testing.assert_array_equal(f.lovasz_batch(np.tri(3)),
                                       [1.0, 1.5, 1.5])
         assert f(set()) == 0.0
 
