@@ -169,7 +169,10 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
     init is "sample" (k distinct seeded rows) or an explicit list of k
     permutations. Each empty cluster is reseeded with a distinct row, the
     one farthest from its representative among clusters with at least two
-    members.
+    members. A row joins the cluster of least computed divergence, the
+    lowest index among equal computed values; rows tied only in exact
+    arithmetic are decided by the rounding of f-hat(x) - <x, h_sigma>.
+    Each pass takes f-hat of every row once, for all k orderings.
     """
     rows = matrix.rows
     m, n = rows.shape
@@ -198,9 +201,9 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # assignment step; argmin breaks ties toward the lowest cluster index
-        dists = np.column_stack([lb_divergence_batch(f, rows, s, rule)
-                                 for s in reps])
+        # assignment step: f-hat of the rows once for all k orderings;
+        # argmin sends ties in the computed distances to the lowest index
+        dists = lb_divergence_batch(f, rows, reps, rule)
         assignments = np.argmin(dists, axis=1)
         sizes = np.bincount(assignments, minlength=k)
         for j in np.flatnonzero(sizes == 0):
@@ -222,8 +225,8 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
         objective = new_objective
 
     # report the objective consistent with the final assignments
-    dists = np.column_stack([lb_divergence_batch(f, rows, s, rule) for s in reps])
+    dists = lb_divergence_batch(f, rows, reps, rule)
     assignments = np.argmin(dists, axis=1)
     objective = float(dists[np.arange(m), assignments].sum())
-    return ClusteringResult(tuple(int(a) for a in assignments), tuple(reps),
+    return ClusteringResult(tuple(assignments.tolist()), tuple(reps),
                             objective, iterations, converged)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -102,38 +103,95 @@ def _cell(value, csv: bool) -> str:
     return str(value) if csv else json.dumps(value)
 
 
-def _cells(a: np.ndarray, csv: bool) -> np.ndarray:
-    """_cell of every element of a, written once per distinct bit pattern
-    (so -0.0 and 0.0 stay apart, and ints keep their int text)."""
+_INTEGRAL = re.compile(r"\n-?\d+(?=\n)")  # a line of integral %g text
+
+
+def _float_cells(values: np.ndarray, csv: bool) -> list:
+    """_cell of every float in values, from one %-format call.
+
+    A normal float's 12-digit %g text is that of its rounded value r, and
+    in JSON also repr(r) once ".0" follows integral fixed-point text: r
+    has at most 12 significant digits, so repr's shortest round trip
+    writes the same ones. Three kinds go through _cell instead: non-finite
+    values, subnormals (fewer digits round trip) and 1e12 <= |r| < 1e16,
+    where repr writes fixed point and %g an exponent.
+    """
+    text = ("\n%.12g" * values.size) % tuple(values.tolist()) + "\n"
+    if not csv:
+        text = _INTEGRAL.sub(r"\g<0>.0", text)
+    cells = text.split("\n")[1:-1]
+    a = np.abs(values)
+    # 1e12 - 0.5 is the least float that rounds to 1e12 at 12 digits
+    odd = (~np.isfinite(values) | ((a > 0) & (a < np.finfo(float).tiny))
+           | ((a >= 1e12 - 0.5) & (a < 1e16)))
+    for i in np.flatnonzero(odd).tolist():
+        cells[i] = _cell(float(values[i]), csv)
+    return cells
+
+
+def _tokens(a: np.ndarray, csv: bool):
+    """The _cell texts of a's distinct elements, and each element's index
+    into them. Distinct means a distinct bit pattern, so -0.0 and 0.0 stay
+    apart and ints keep their int text."""
     floats = a.dtype.kind == "f"
     keys = np.ascontiguousarray(a, np.float64).view(np.uint64) if floats else a
     uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
-    values = (uniq.view(np.float64) if floats else uniq).tolist()
-    text = np.array([_cell(v, csv) for v in values], dtype=object)
-    return text[inverse].reshape(a.shape)
+    text = (_float_cells(uniq.view(np.float64), csv) if floats
+            else [_cell(v, csv) for v in uniq.tolist()])
+    return np.array(text, dtype=object), inverse
 
 
-def _brackets(ends: str, lists: list, indent, level: int) -> list:
-    """Each list of item texts bracketed as json.dumps does at this level."""
-    inner = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    outer = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," + (inner or " ")
-    return [ends[0] + inner + sep.join(items) + outer + ends[1] if items
-            else ends for items in lists]
+def _newline(indent, level: int) -> str:
+    return "" if indent is None else "\n" + " " * (indent * level)
+
+
+def _brackets(ends: str, items: list, indent, level: int) -> str:
+    """The item texts bracketed as json.dumps does at this level."""
+    if not items:
+        return ends
+    inner = _newline(indent, level + 1)
+    return (ends[0] + inner + ("," + (inner or " ")).join(items)
+            + _newline(indent, level) + ends[1])
+
+
+def _array_json(a: np.ndarray, indent, level: int) -> str:
+    """json.dumps layout of a nonempty ndarray's .tolist() in one join.
+
+    What follows an element depends only on t, the number of innermost
+    axes that end with it: the closing brackets of those t lists, then,
+    unless the whole array ends, a separator and t opening brackets. Each
+    distinct value's text is joined once to the separator of t = 0; only
+    the elements that end a list are joined one by one.
+    """
+    d = a.ndim
+    opens = ["[" + _newline(indent, level + i + 1) for i in range(d)]
+    closes = [_newline(indent, level + i) + "]" for i in range(d)]
+    after = []
+    for t in range(d + 1):
+        text = "".join(reversed(closes[d - t:]))
+        if t < d:
+            text += ("," + (_newline(indent, level + d - t) or " ")
+                     + "".join(opens[d - t:]))
+        after.append(text)
+    ends = np.zeros(a.shape, dtype=np.intp)
+    for t in range(1, d + 1):
+        ends[(...,) + (-1,) * t] += 1
+    ends = ends.ravel()
+    tokens, inverse = _tokens(a, False)
+    body = (tokens + after[0])[inverse]
+    last = np.flatnonzero(ends)
+    body[last] = tokens[inverse[last]] + np.array(after, object)[ends[last]]
+    return "".join(opens) + "".join(body.tolist())
 
 
 def _json(value, indent=None, level: int = 0) -> str:
     """json.dumps(value, indent=indent) with every float rounded to 12
     significant digits and every ndarray read as its .tolist(); dict keys
     are strings."""
-    if isinstance(value, np.ndarray):  # innermost lists first, in bulk
-        text = _cells(value, False)
-        for axis in reversed(range(value.ndim)):
-            lists = text.reshape(math.prod(value.shape[:axis]),
-                                 value.shape[axis]).tolist()
-            text = np.array(_brackets("[]", lists, indent, level + axis),
-                            dtype=object)
-        return text.ravel()[0]
+    if isinstance(value, np.ndarray):
+        if value.size:
+            return _array_json(value, indent, level)
+        value = value.tolist()
     if isinstance(value, dict):
         items = [f"{json.dumps(k)}: {_json(v, indent, level + 1)}"
                  for k, v in value.items()]
@@ -141,8 +199,8 @@ def _json(value, indent=None, level: int = 0) -> str:
         items = [_json(v, indent, level + 1) for v in value]
     else:
         return _cell(value, False)
-    return _brackets("{}" if isinstance(value, dict) else "[]", [items],
-                     indent, level)[0]
+    return _brackets("{}" if isinstance(value, dict) else "[]", items,
+                     indent, level)
 
 
 def _report_text(report, fmt: str) -> str:
@@ -157,7 +215,9 @@ def _report_text(report, fmt: str) -> str:
                  for key, val in report.items()]
     else:
         header, rows = report
-        lines = [",".join(header), *map(",".join, _cells(rows, True).tolist())]
+        tokens, inverse = _tokens(rows, True)
+        cells = tokens[inverse].reshape(rows.shape).tolist()
+        lines = [",".join(header), *map(",".join, cells)]
     return "\n".join(lines) + "\n"
 
 

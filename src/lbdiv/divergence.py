@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,29 +40,41 @@ def lb_divergence(f: SetFunction, x, sigma: Permutation,
     return float(lb_divergence_batch(f, x, sigma, rule)[0])
 
 
-def lb_divergence_batch(f: SetFunction, X, sigma: Permutation,
+def lb_divergence_batch(f: SetFunction, X,
+                        sigma: Permutation | Sequence[Permutation],
                         rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> np.ndarray:
-    """lb_divergence of every row of X against a fixed sigma.
+    """lb_divergence of every row of X against sigma.
 
-    Computed as f.lovasz_batch(X) - X h_sigma: the generator's batch Lovasz
-    extension (a sorted-row dot product for the cardinality families, the
-    weighted total variation for graph cuts, X w for modular functions)
-    minus one extreme subgradient. Under TieRule.REJECT a row with tied
+    sigma is one Permutation, giving a vector with one value per row, or a
+    sequence of k of them, giving an (m, k) matrix whose column j equals
+    the call with sigma[j] alone. Computed as f.lovasz_batch(X) - X h_sigma:
+    the generator's batch Lovasz extension (a sorted-row dot product for
+    the cardinality families, the weighted total variation for graph cuts,
+    X w for modular functions), taken once for all orderings, minus one
+    extreme subgradient per ordering. Under TieRule.REJECT a row with tied
     entries raises TieError. Raises if a result is not finite, which
     covers non-finite scores and scores large enough to overflow.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != f.n or len(sigma) != f.n:
+    single = isinstance(sigma, Permutation)
+    sigmas = [sigma] if single else list(sigma)
+    if not sigmas:
+        raise ValueError("need at least one ordering")
+    if X.shape[1] != f.n or any(len(s) != f.n for s in sigmas):
         raise ValueError("length mismatch")
     if rule is TieRule.REJECT:
         reject_ties(X)
-    h = extreme_subgradient(f, sigma)
-    vals = f.lovasz_batch(X) - X @ h
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("divergence overflowed or scores are not finite")
-    # f-hat and <x, h_sigma> round differently; noise within the guard is 0
-    guard = _ZERO_GUARD * np.maximum(np.abs(X) @ np.abs(h), 1.0)
-    return np.where(np.abs(vals) <= guard, 0.0, vals)
+    fhat, absX = f.lovasz_batch(X), np.abs(X)
+    out = np.empty((X.shape[0], len(sigmas)))
+    for j, s in enumerate(sigmas):
+        h = extreme_subgradient(f, s)
+        vals = fhat - X @ h
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("divergence overflowed or scores are not finite")
+        # f-hat and <x, h_sigma> round differently; noise within the guard is 0
+        guard = _ZERO_GUARD * np.maximum(absX @ np.abs(h), 1.0)
+        out[:, j] = np.where(np.abs(vals) <= guard, 0.0, vals)
+    return out[:, 0] if single else out
 
 
 def lb_cardinality(gains, x, sigma: Permutation,
@@ -152,6 +165,8 @@ def ndcg_loss(r, sigma: Permutation, profile: DiscountProfile,
     if ideal == 0:
         raise ValueError("all-zero relevance: ideal gain is zero")
     actual = float(r[[sigma(i) - 1 for i in range(1, k + 1)]] @ D)
+    if not math.isfinite(ideal) or not math.isfinite(actual):
+        raise ValueError("discounted gain overflowed: it is not finite")
     return _clamp((ideal - actual) / ideal)
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lbdiv import CardinalityConcave, GraphCut, Permutation
+from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular,
+                   Permutation, SetFunction, Sum)
 
 
 def random_concave_gains(rng, n):
@@ -37,6 +38,54 @@ def generator_zoo(rng, n):
         random_graph_cut(rng, n),
         random_top_m(rng, n),
     ]
+
+
+def every_family(rng, n):
+    """One generator of each built-in family, including a sum and a table."""
+    gains = np.sort(rng.uniform(-1.0, 2.0, n))[::-1]
+    W = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    W = np.triu(W, 1) + np.triu(W, 1).T
+    cut = GraphCut(W)
+    modular = Modular(rng.uniform(-2.0, 2.0, n))
+    return [
+        CardinalityConcave(gains),
+        # truncation needs a nonnegative gain at the cutoff to stay concave
+        CardinalityConcave.truncated(np.maximum(gains, 0.0),
+                                     int(rng.integers(1, n + 1))),
+        cut,
+        CardinalityConcave.top_m(n, 1),
+        CardinalityConcave.top_m(n, int(rng.integers(1, n + 1))),
+        CardinalityConcave.proper_subset(n),
+        modular,
+        Sum([cut, CardinalityConcave.sqrt(n), modular]),
+        ExplicitTable(n, rng.normal(size=1 << n)),
+    ]
+
+
+class Coverage(SetFunction):
+    """A user subclass that defines only __call__: how many elements the
+    items' cover sets reach together."""
+
+    def __init__(self, covers):
+        super().__init__(len(covers))
+        self.covers = [frozenset(c) for c in covers]
+
+    def __call__(self, A) -> float:
+        return float(len(frozenset().union(*(self.covers[i - 1] for i in A))))
+
+
+class OffsetCoverage(Coverage):
+    """Coverage with f(empty) = 10 above every singleton: non-monotone and
+    non-submodular only through the empty set."""
+
+    def __call__(self, A) -> float:
+        A = frozenset(A)
+        return super().__call__(A) if A else 10.0
+
+
+def user_subclasses(rng, n):
+    covers = [np.flatnonzero(rng.random(6) < 0.4) for _ in range(n)]
+    return [Coverage(covers), OffsetCoverage(covers)]
 
 
 def chain_subgradient(f, sigma):

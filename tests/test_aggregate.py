@@ -298,6 +298,25 @@ class TestKMeans:
                                seed=0)
         assert set(result.assignments) == set(range(5))
 
+    def test_one_lovasz_batch_of_the_rows_per_pass(self, monkeypatch):
+        # f-hat of the score rows once per assignment pass, not once per
+        # cluster; the n x n prefix indicators behind each h_sigma aside
+        rng = np.random.default_rng(7)
+        m = ScoreMatrix(rng.integers(0, 6, (3000, 10)).astype(float))
+        f = CardinalityConcave.sqrt(10)
+        real = CardinalityConcave.lovasz_batch
+        calls = []
+
+        def counting(self, X):
+            if np.shape(X) == m.rows.shape:
+                calls.append(1)
+            return real(self, X)
+
+        monkeypatch.setattr(CardinalityConcave, "lovasz_batch", counting)
+        result = lb_kmeans(m, f, k=4, max_iter=4, seed=1)
+        assert result.iterations == 4
+        assert len(calls) == result.iterations + 1
+
     def test_provided_init(self, rng):
         m = two_population_matrix(rng, rows_per_side=5)
         f = CardinalityConcave.sqrt(2)

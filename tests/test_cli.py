@@ -329,16 +329,25 @@ class TestInputBoundary:
                                       "1e308,0\n1e308,0\n"],
                              ids=["divergence", "mean"])
     def test_finite_csv_that_overflows(self, tmp_path, rows):
-        # a child process, so that numpy's overflow warnings reach stderr
         data = tmp_path / "rows.csv"
         data.write_text(rows)
-        proc = subprocess.run(
-            [sys.executable, "-m", "lbdiv.cli", "--generator", "cut:uniform",
-             "aggregate", str(data)], capture_output=True, text=True)
+        err = self.run_child("--generator", "cut:uniform", "aggregate",
+                             str(data))
+        assert "finite" in err
+
+    def test_finite_relevance_that_overflows(self):
+        err = self.run_child("eval", "--metric", "ndcg", "--sigma", "3,1,2",
+                             "--relevance", "1.5e308,1.5e308,0")
+        assert "overflowed" in err
+
+    def run_child(self, *args):
+        # a child process, so that numpy's overflow warnings reach stderr
+        proc = subprocess.run([sys.executable, "-m", "lbdiv.cli", *args],
+                              capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
-        assert "finite" in proc.stderr
+        return proc.stderr
 
     def test_non_finite_json_matrix(self, monkeypatch, capsys, tmp_path):
         data = tmp_path / "rows.json"

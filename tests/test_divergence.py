@@ -12,8 +12,8 @@ from lbdiv import (CardinalityConcave, DiscountProfile, ExplicitTable,
                    lb_cardinality, lb_cut, lb_divergence, lb_divergence_batch,
                    lovasz_extension, mean_ordering, ndcg_loss,
                    partial_order_distortion, relabel_scores)
-from conftest import (chain_subgradient, generator_zoo, random_concave_gains,
-                      random_graph_cut)
+from conftest import (chain_subgradient, every_family, generator_zoo,
+                      random_concave_gains, random_graph_cut, user_subclasses)
 
 SQRT3_DIV = 0.038550526870925236  # frozen from the by-hand gain-table sums
 
@@ -78,6 +78,37 @@ class TestGenericDivergence:
                 lb_divergence_batch(f, X[:1], sigma, TieRule.REJECT),
                 lb_divergence_batch(f, X[:1], sigma))
             assert lb_divergence_batch(f, X, sigma).shape == (3,)
+
+    @pytest.mark.parametrize("rule", [TieRule.LOWEST_INDEX_FIRST,
+                                      TieRule.REJECT])
+    def test_many_orderings_match_one_at_a_time(self, rng, rule):
+        for n in range(1, 7):
+            X = rng.random((9, n))  # distinct entries, as REJECT requires
+            if rule is TieRule.LOWEST_INDEX_FIRST:
+                X = np.round(4 * X) / 4  # tied rows and exact zeros
+            # each row's own ordering too, so the zero guard is exercised
+            sigmas = ([Permutation.random(n, rng) for _ in range(3)]
+                      + [induced_ordering(x) for x in X[:2]])
+            for f in every_family(rng, n) + user_subclasses(rng, n):
+                D = lb_divergence_batch(f, X, sigmas, rule)
+                assert D.shape == (9, 5)
+                for j, sigma in enumerate(sigmas):
+                    assert np.array_equal(
+                        D[:, j], lb_divergence_batch(f, X, sigma, rule))
+                assert np.array_equal(
+                    lb_divergence_batch(f, X, iter(sigmas[:1]), rule),
+                    D[:, :1])
+
+    def test_many_orderings_validation(self):
+        f = CardinalityConcave.sqrt(3)
+        X = np.ones((2, 3))
+        good = Permutation([1, 2, 3])
+        for bad in (Permutation([2, 1]), Permutation([1, 2, 3, 4])):
+            for sigmas in ([bad, good], [good, bad], [good, good, bad]):
+                with pytest.raises(ValueError, match="length mismatch"):
+                    lb_divergence_batch(f, X, sigmas)
+        with pytest.raises(ValueError, match="at least one ordering"):
+            lb_divergence_batch(f, X, [])
 
     def test_tie_handling_is_value_independent(self):
         # any ordering consistent with tied x gives the same divergence
@@ -520,3 +551,6 @@ def test_overflow_to_non_finite_rejected():
                             Permutation([1, 2]))
     with pytest.raises(ValueError, match="finite"):
         mean_ordering(ScoreMatrix([[1e308, 0.0], [1e308, 0.0]]))
+    with pytest.raises(ValueError, match="overflowed"):
+        ndcg_loss([1.5e308, 1.5e308, 0], Permutation([3, 1, 2]),
+                  DiscountProfile.log2(3))

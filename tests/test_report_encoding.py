@@ -126,7 +126,11 @@ def parse_by_line(text):
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0,
                   2.0 ** 60, 1e16, 1 / 3, 0.1 + 0.2, 123456789012.5,
                   1.0000000000005, 9.9999999999995e-5, 1e-5,
-                  float("inf"), float("-inf"), float("nan")]
+                  float("inf"), float("-inf"), float("nan"),
+                  # where the bulk float format hands over to _cell
+                  999999999999.5, 1e12, 1.234567890123e15,
+                  9999999999999998.0, 1e22, 1e-310, -1e-320,
+                  2.2250738585072014e-308]
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 scalars = st.one_of(floats, st.integers(), st.booleans(), st.none(),
                     st.text(max_size=6))
@@ -277,6 +281,24 @@ def test_large_report_avoids_the_pure_python_encoder(monkeypatch, tmp_path):
     assert calls == []
     json.dumps([1], indent=2)  # the counter does see the slow path
     assert calls == [1]
+
+
+def test_distinct_floats_are_formatted_in_bulk(monkeypatch):
+    """3000x10 distinct floats in [0, 1) go through one format call: no
+    value takes the per-value _cell path, and the text is the oracle's."""
+    X = np.random.default_rng(6).random((3000, 10))
+    assert np.unique(X).size == X.size
+    calls = []
+    real = cli_module._cell
+
+    def counting(value, csv):
+        calls.append(value)
+        return real(value, csv)
+
+    monkeypatch.setattr(cli_module, "_cell", counting)
+    text = cli_module._report_text({"rows": X}, "json")
+    assert calls == []
+    assert text == oracle_text({"rows": X}, "json")
 
 
 # -------------------------------------------------------------- fuzzing
