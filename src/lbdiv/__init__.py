@@ -10,9 +10,9 @@ from .submodular import (CardinalityConcave, ExplicitTable, GraphCut,
                          is_monotone, is_submodular)
 from .lovasz import (averaged_subgradient, extreme_subgradient,
                      has_distinct_extreme_points, lovasz_extension)
-from .divergence import (DiscountProfile, PartialOrder, auc_loss,
-                         confidence_bound, lb_cardinality, lb_cut,
-                         lb_divergence, lb_divergence_batch, ndcg_loss,
+from .divergence import (PartialOrder, auc_loss, confidence_bound,
+                         lb_cardinality, lb_cut, lb_divergence,
+                         lb_divergence_batch, ndcg_loss,
                          partial_order_distortion)
 from .aggregate import (ClusteringResult, ScoreMatrix, aggregation_objective,
                         brute_force_mean, feature_inference, lb_kmeans,

@@ -178,7 +178,7 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
     m, n = rows.shape
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside 1..{m}")
-    if max_iter < 1 or tol < 0:
+    if max_iter < 1 or not tol >= 0:
         raise ValueError("max_iter >= 1 and tol >= 0 required")
 
     if init == "sample":

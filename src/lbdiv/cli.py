@@ -21,8 +21,8 @@ from . import dataio
 from .aggregate import (ScoreMatrix, aggregation_objective, lb_kmeans,
                         mean_ordering)
 from .dataio import ParseError
-from .divergence import (DiscountProfile, auc_loss, confidence_bound,
-                         lb_divergence, lb_divergence_batch, ndcg_loss)
+from .divergence import (auc_loss, confidence_bound, lb_divergence,
+                         lb_divergence_batch, ndcg_loss)
 from .mallows import (ExtendedLovaszMallows, LovaszMallows, estimate_log_Z,
                       log_density_unnormalized, map_permutation)
 from .permutation import (Permutation, TieError, TieRule, induced_ordering,
@@ -329,7 +329,8 @@ def cluster(ctx, matrix_source, k, max_iter, tol):
               help="Second permutation (kendall/spearman).")
 @click.option("--relevance", default=None, help="Relevance vector (ndcg).")
 @click.option("--discount", default="log2", show_default=True,
-              help="Discount profile: 'log2' or @file with a JSON array.")
+              help="Discounts: 'log2' or a JSON gain table (inline or "
+                   "@file).")
 @click.option("--cutoff", type=int, default=None,
               help="Rank cutoff for ndcg (default: all ranks).")
 @click.option("--good", default=None, help="Good items (auc).")
@@ -351,13 +352,14 @@ def eval_cmd(ctx, metric, sigma_source, pi_source, relevance, discount,
         if relevance is None:
             raise click.UsageError("--relevance is required for ndcg")
         r = _parse_vector(relevance)
-        if discount == "log2":
-            profile = DiscountProfile.log2(r.size, cutoff)
-        else:
-            profile = DiscountProfile.from_json(_read_source(discount), cutoff)
-        value = ndcg_loss(r, sigma, profile, ctx.obj["rule"])
-        inputs.update(relevance=r, discount=list(profile.values),
-                      cutoff=profile.cutoff)
+        D = (1.0 / np.log2(np.arange(2.0, r.size + 2)) if discount == "log2"
+             else dataio.load_gain_table(_read_source(discount)))
+        if not D.size or D.min() <= 0:
+            raise ValueError("discounts must be finite and strictly positive")
+        k = D.size if cutoff is None else cutoff
+        value = ndcg_loss(r, sigma, CardinalityConcave.truncated(D, k),
+                          ctx.obj["rule"])
+        inputs.update(relevance=r, discount=D, cutoff=k)
     else:
         if good is None or bad is None:
             raise click.UsageError("--good and --bad are required for auc")

@@ -100,9 +100,13 @@ def parse_int_vector(text: str) -> list:
 
 
 def load_gain_table(text: str) -> np.ndarray:
-    """Gain tables are JSON arrays of reals."""
+    """Gain tables are flat JSON arrays of reals."""
     try:
-        vals = json.loads(text)
+        vals = np.asarray(json.loads(text), dtype=float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad gain table JSON: {exc}") from None
-    return _finite(np.asarray(vals, dtype=float), "gain table")
+    except (TypeError, ValueError, OverflowError):  # not a list of reals
+        vals = None
+    if vals is None or vals.ndim != 1:
+        raise ParseError("gain table must be a JSON array of reals")
+    return _finite(vals, "gain table")

@@ -120,51 +120,33 @@ def lb_cut(W, x, sigma: Permutation, orientation_count: int = 2,
     return _clamp(orientation_count * total)
 
 
-@dataclass(frozen=True)
-class DiscountProfile:
-    """Positional discounts D(1) >= D(2) >= ... > 0 with a rank cutoff."""
-
-    values: tuple
-    cutoff: int
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals or not all(0 < v < math.inf for v in vals):
-            raise ValueError("discounts must be finite and strictly positive")
-        if any(a < b for a, b in zip(vals, vals[1:])):
-            raise ValueError("discounts must be non-increasing")
-        if not 1 <= self.cutoff <= len(vals):
-            raise ValueError("cutoff outside 1..len(values)")
-
-    @classmethod
-    def log2(cls, n: int, cutoff: int | None = None) -> "DiscountProfile":
-        """D(i) = 1 / log2(i + 1), the usual web-ranking discount."""
-        vals = [1.0 / np.log2(i + 1) for i in range(1, n + 1)]
-        return cls(tuple(vals), n if cutoff is None else cutoff)
-
-    @classmethod
-    def from_json(cls, text: str, cutoff: int | None = None) -> "DiscountProfile":
-        vals = json.loads(text)
-        return cls(tuple(vals), len(vals) if cutoff is None else cutoff)
-
-
-def ndcg_loss(r, sigma: Permutation, profile: DiscountProfile,
+def ndcg_loss(r, sigma: Permutation, discounts: CardinalityConcave,
               rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
     """Discounted-gain shortfall of sigma relative to the ideal ordering of r,
-    normalized by the ideal gain; lies in [0, 1]."""
+    normalized by the ideal gain; lies in [0, 1].
+
+    The discounts are a truncated cardinality generator, as
+    CardinalityConcave.truncated(D, k) builds it: rank gains D(1) >= ... >=
+    D(k) > 0 up to the cutoff k and 0 after it. Over the items of r, the
+    shortfall ideal - actual is lb_divergence(discounts, r, sigma).
+    """
     r = np.asarray(r, dtype=float)
     if r.size != len(sigma):
         raise ValueError("length mismatch")
     if np.any(r < 0):
         raise ValueError("relevance must be nonnegative")
-    k = profile.cutoff
-    D = np.asarray(profile.values[:k])
-    sr = induced_ordering(r, rule)
-    ideal = float(r[[sr(i) - 1 for i in range(1, k + 1)]] @ D)
+    D = discounts.gains
+    if not D[0] > 0 or D.min() < 0:
+        raise ValueError("discounts must be positive up to the cutoff, then 0")
+    ideal_order = induced_ordering(r, rule).items  # ties raise first
+    k = int(np.flatnonzero(D)[-1]) + 1  # the cutoff: every later gain is 0
+    if k > r.size:
+        raise ValueError(f"cutoff m={k} outside 1..{r.size}")
+    D = D[:k]
+    ideal = float(r[np.array(ideal_order[:k]) - 1] @ D)
     if ideal == 0:
         raise ValueError("all-zero relevance: ideal gain is zero")
-    actual = float(r[[sigma(i) - 1 for i in range(1, k + 1)]] @ D)
+    actual = float(r[np.array(sigma.items[:k]) - 1] @ D)
     if not math.isfinite(ideal) or not math.isfinite(actual):
         raise ValueError("discounted gain overflowed: it is not finite")
     return _clamp((ideal - actual) / ideal)
@@ -178,8 +160,13 @@ def auc_loss(good, bad, sigma: Permutation) -> float:
         raise ValueError("good and bad sets must be nonempty")
     if G & B:
         raise ValueError(f"good and bad sets overlap: {sorted(G & B)}")
-    inv = sigma.inverse()
-    bad_pairs = sum(1 for g in G for b in B if inv(g) > inv(b))
+    n = len(sigma)
+    outside = sorted(i for i in G | B if not 1 <= i <= n)
+    if outside:
+        raise ValueError(f"items {outside} outside 1..{n}")
+    rank = np.array(sigma.inverse().items)
+    g, b = rank[np.fromiter(G, int) - 1], rank[np.fromiter(B, int) - 1]
+    bad_pairs = int(np.count_nonzero(g[:, None] > b))
     return bad_pairs / (len(G) * len(B))
 
 

@@ -105,8 +105,9 @@ class CardinalityConcave(SetFunction):
 
     @classmethod
     def truncated(cls, gains, m: int) -> "CardinalityConcave":
-        """The gain table cut off at rank m: the gains after rank m are 0."""
-        gains = np.array(gains, dtype=float)
+        """The gain table cut off at rank m: the gains after rank m are 0.
+        The whole table is validated, not only its first m gains."""
+        gains = np.array(cls(gains).gains)
         if not 1 <= m <= gains.size:
             raise ValueError(f"cutoff m={m} outside 1..{gains.size}")
         gains[int(m):] = 0.0

@@ -18,6 +18,12 @@ def random_cardinality(rng, n):
     return CardinalityConcave(random_concave_gains(rng, n))
 
 
+def log2_discounts(n, k=None):
+    """NDCG's discounts 1 / log2(i + 1), as a generator truncated at rank k."""
+    D = 1.0 / np.log2(np.arange(2.0, n + 2))
+    return CardinalityConcave.truncated(D, n if k is None else k)
+
+
 def random_graph_cut(rng, n):
     W = rng.uniform(0.1, 1.0, size=(n, n))
     W = (W + W.T) / 2

@@ -20,9 +20,9 @@ from lbdiv import (CardinalityConcave, ExtendedLovaszMallows, GraphCut,
                    extended_log_density, induced_ordering, kendall_tau,
                    lb_cardinality, lb_cut, lb_divergence, lb_kmeans,
                    lovasz_extension, map_permutation, mean_ordering,
-                   ndcg_loss, relabel_scores, DiscountProfile)
-from conftest import (chain_subgradient, generator_zoo, random_concave_gains,
-                      random_graph_cut)
+                   ndcg_loss, relabel_scores)
+from conftest import (chain_subgradient, generator_zoo, log2_discounts,
+                      random_concave_gains, random_graph_cut)
 
 
 @contextmanager
@@ -196,12 +196,13 @@ def test_criterion_5_ranking_measure_equivalences():
             k = int(rng.integers(1, n + 1))
             r = rng.random(n) * 3
             sigma = Permutation.random(n, rng)
-            profile = DiscountProfile.log2(n, cutoff=k)
-            D = np.asarray(profile.values)
-            ideal = float(np.sort(r)[::-1][:k] @ D[:k])
-            top_k = np.where(np.arange(n) < k, D, 0.0)
-            assert ndcg_loss(r, sigma, profile) * ideal == pytest.approx(
-                lb_cardinality(top_k, r, sigma), abs=1e-12)
+            discounts = log2_discounts(n, k)
+            ideal = float(np.sort(r)[::-1] @ discounts.gains)
+            shortfall = ndcg_loss(r, sigma, discounts) * ideal
+            assert shortfall == pytest.approx(
+                lb_cardinality(discounts.gains, r, sigma), abs=1e-12)
+            assert shortfall == pytest.approx(
+                lb_divergence(discounts, r, sigma), abs=1e-12)
 
         for _ in range(100):
             n = int(rng.integers(2, 8))

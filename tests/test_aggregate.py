@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -340,6 +341,9 @@ class TestKMeans:
             lb_kmeans(m, f, k=0)
         with pytest.raises(ValueError):
             lb_kmeans(m, f, k=2, max_iter=0)
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="tol >= 0"):
+                lb_kmeans(m, f, k=2, tol=tol)
 
     def test_result_serializes(self, rng):
         m = ScoreMatrix(rng.random((4, 2)))

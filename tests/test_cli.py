@@ -172,6 +172,9 @@ class TestEvalCommand:
                                 "--sigma", "2,1,3",
                                 "--relevance", "3,2,0").output)
         assert report["value"] == pytest.approx(0.08659840752845, abs=1e-11)
+        # the log2 discounts 1 / log2(i + 1), written to 12 digits
+        assert report["inputs"]["discount"] == [1.0, 0.630929753571, 0.5]
+        assert report["inputs"]["cutoff"] == 3
 
     def test_ndcg_custom_discount(self, runner, tmp_path):
         disc = tmp_path / "d.json"
@@ -182,6 +185,9 @@ class TestEvalCommand:
                                 "--cutoff", "2").output)
         # ideal 3*1 + 2*0.5 = 4, actual 1*1 + 2*0.5 = 2
         assert report["value"] == pytest.approx(0.5, abs=1e-12)
+        # the report echoes the whole table, not the truncated generator
+        assert report["inputs"]["discount"] == [1.0, 0.5, 0.25]
+        assert report["inputs"]["cutoff"] == 2
 
     def test_auc(self, runner):
         report = json.loads(run(runner, "eval", "--metric", "auc",
@@ -334,6 +340,44 @@ class TestInputBoundary:
         err = self.run_child("--generator", "cut:uniform", "aggregate",
                              str(data))
         assert "finite" in err
+
+    @pytest.mark.parametrize("discount, message", [
+        ("[1, 0.5, 0]", "discounts must be finite and strictly positive"),
+        ("[]", "discounts must be finite and strictly positive"),
+        ("[1, 0.5", "bad gain table JSON"),
+        ('{"d": 1}', "gain table must be a JSON array of reals"),
+        ("[[1, 0.5]]", "gain table must be a JSON array of reals"),
+        ("[1, NaN]", "non-finite value in gain table"),
+        ("[0.5, 1]", "gain table must be non-increasing"),
+    ], ids=["zero", "empty", "malformed", "object", "nested", "nan",
+            "increasing"])
+    def test_bad_discount_file(self, monkeypatch, capsys, tmp_path, discount,
+                               message):
+        disc = tmp_path / "d.json"
+        disc.write_text(discount)
+        err = self.run_main(monkeypatch, capsys, "eval", "--metric", "ndcg",
+                            "--sigma", "1,2", "--relevance", "1,2",
+                            "--discount", f"@{disc}")
+        assert message in err
+
+    @pytest.mark.parametrize("cutoff", ["0", "4"])
+    def test_ndcg_cutoff_out_of_range(self, monkeypatch, capsys, cutoff):
+        err = self.run_main(monkeypatch, capsys, "eval", "--metric", "ndcg",
+                            "--sigma", "1,2,3", "--relevance", "1,2,3",
+                            "--cutoff", cutoff)
+        assert f"cutoff m={cutoff} outside 1..3" in err
+
+    def test_auc_items_outside_the_permutation(self, monkeypatch, capsys):
+        err = self.run_main(monkeypatch, capsys, "eval", "--metric", "auc",
+                            "--sigma", "1,2", "--good", "4", "--bad", "5")
+        assert err == "error: items [4, 5] outside 1..2\n"
+
+    def test_cluster_nan_tolerance(self, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "m.csv"
+        data.write_text("1,2\n2,1\n3,1\n")
+        err = self.run_main(monkeypatch, capsys, "cluster", str(data),
+                            "--k", "2", "--tol", "nan")
+        assert "tol >= 0" in err
 
     def test_finite_relevance_that_overflows(self):
         err = self.run_child("eval", "--metric", "ndcg", "--sigma", "3,1,2",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lbdiv import (CardinalityConcave, DiscountProfile, ExplicitTable,
+from lbdiv import (CardinalityConcave, ExplicitTable,
                    ExtendedLovaszMallows, GraphCut, LovaszMallows, Modular,
                    PartialOrder, Permutation, ScoreMatrix, Sum, TieError,
                    TieRule, all_permutations, auc_loss, confidence_bound,
@@ -13,7 +13,8 @@ from lbdiv import (CardinalityConcave, DiscountProfile, ExplicitTable,
                    lovasz_extension, mean_ordering, ndcg_loss,
                    partial_order_distortion, relabel_scores)
 from conftest import (chain_subgradient, every_family, generator_zoo,
-                      random_concave_gains, random_graph_cut, user_subclasses)
+                      log2_discounts, random_concave_gains, random_graph_cut,
+                      user_subclasses)
 
 SQRT3_DIV = 0.038550526870925236  # frozen from the by-hand gain-table sums
 
@@ -221,35 +222,54 @@ class TestSpecializedForms:
 class TestRankingMeasures:
     def test_ndcg_zero_on_ideal(self, rng):
         r = rng.random(5)
-        assert ndcg_loss(r, induced_ordering(r),
-                         DiscountProfile.log2(5)) == 0.0
+        assert ndcg_loss(r, induced_ordering(r), log2_discounts(5)) == 0.0
 
     def test_ndcg_by_hand(self):
         loss = ndcg_loss([3, 2, 0], Permutation([2, 1, 3]),
-                         DiscountProfile.log2(3))
+                         log2_discounts(3))
         assert loss == pytest.approx(0.08659840752844575, abs=1e-12)
 
     def test_ndcg_constant_relevance(self):
         for sigma in all_permutations(3):
-            assert ndcg_loss([2, 2, 2], sigma, DiscountProfile.log2(3)) == 0.0
+            assert ndcg_loss([2, 2, 2], sigma, log2_discounts(3)) == 0.0
 
     def test_ndcg_all_zero_relevance(self):
         with pytest.raises(ValueError):
-            ndcg_loss([0, 0, 0], Permutation([1, 2, 3]),
-                      DiscountProfile.log2(3))
+            ndcg_loss([0, 0, 0], Permutation([1, 2, 3]), log2_discounts(3))
 
     def test_ndcg_numerator_is_top_m(self, rng):
         n, k = 6, 4
-        profile = DiscountProfile.log2(n, k)
-        D = np.array(profile.values)
+        discounts = log2_discounts(n, k)
+        D = discounts.gains
         for _ in range(20):
             r = rng.random(n)
             sigma = Permutation.random(n, rng)
             sr = induced_ordering(r)
             ideal = sum(r[sr(i) - 1] * D[i - 1] for i in range(1, k + 1))
-            top_k = np.where(np.arange(n) < k, D, 0.0)
-            assert ndcg_loss(r, sigma, profile) * ideal == pytest.approx(
-                lb_cardinality(top_k, r, sigma), abs=1e-12)
+            shortfall = ndcg_loss(r, sigma, discounts) * ideal
+            assert shortfall == pytest.approx(
+                lb_cardinality(D, r, sigma), abs=1e-12)
+            assert shortfall == pytest.approx(
+                lb_divergence(discounts, r, sigma), abs=1e-12)
+
+    def test_ndcg_cutoff_is_the_last_nonzero_gain(self):
+        # ideal 3*1 + 2*0.5 = 4, actual 1*1 + 2*0.5 = 2: a table may also
+        # be shorter than r
+        r, sigma = [1.0, 2.0, 3.0], Permutation([1, 2, 3])
+        for discounts in (CardinalityConcave.truncated([1.0, 0.5, 0.25], 2),
+                          CardinalityConcave([1.0, 0.5])):
+            assert ndcg_loss(r, sigma, discounts) == 0.5
+
+    @pytest.mark.parametrize("gains", [[0.0, 0.0], [-1.0, -2.0], [1.0, -0.5]],
+                             ids=["zero", "negative", "negative-last"])
+    def test_ndcg_rejects_nonpositive_discounts(self, gains):
+        with pytest.raises(ValueError, match="discounts must be positive"):
+            ndcg_loss([1.0, 2.0], Permutation([1, 2]),
+                      CardinalityConcave(gains))
+
+    def test_ndcg_cutoff_beyond_the_items(self):
+        with pytest.raises(ValueError, match="cutoff m=3 outside 1..2"):
+            ndcg_loss([1.0, 2.0], Permutation([1, 2]), log2_discounts(3))
 
     def test_auc_perfect_separation(self):
         assert auc_loss({1, 2}, {3, 4}, Permutation([2, 1, 3, 4])) == 0.0
@@ -265,6 +285,14 @@ class TestRankingMeasures:
             auc_loss(set(), {1}, Permutation([1, 2]))
         with pytest.raises(ValueError):
             auc_loss({1}, {1, 2}, Permutation([1, 2]))
+
+    @pytest.mark.parametrize("good, bad, outside", [
+        ({0}, {1}, [0]), ({1}, {4}, [4]), ({-1, 2}, {3, 5}, [-1, 5])])
+    def test_auc_items_outside_the_permutation(self, good, bad, outside):
+        # item 0 once wrapped round to the last rank
+        with pytest.raises(ValueError) as exc:
+            auc_loss(good, bad, Permutation([1, 2, 3]))
+        assert str(exc.value) == f"items {outside} outside 1..3"
 
     def test_auc_equals_cut_form(self, rng):
         n = 6
@@ -477,34 +505,6 @@ class TestKendallRecovery:
             assert value == float(kendall_tau(sx, sigma))
 
 
-class TestDiscountProfile:
-    def test_log2_values(self):
-        p = DiscountProfile.log2(3)
-        assert p.values[0] == pytest.approx(1.0)
-        assert p.values[1] == pytest.approx(1 / math.log2(3))
-        assert p.cutoff == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscountProfile((1.0, 2.0), 2)  # increasing
-        with pytest.raises(ValueError):
-            DiscountProfile((1.0, 0.0), 2)  # nonpositive
-        with pytest.raises(ValueError):
-            DiscountProfile((1.0, 0.5), 3)  # cutoff too large
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            DiscountProfile((bad, 1.0), 1)
-        with pytest.raises(ValueError, match="finite"):
-            DiscountProfile((1.0, bad), 2)
-
-    def test_from_json(self):
-        p = DiscountProfile.from_json("[1.0, 0.5, 0.25]", 2)
-        assert p.values == (1.0, 0.5, 0.25)
-        assert p.cutoff == 2
-
-
 def non_finite_calls(bad):
     """Every public entry point that takes a score vector or a weight,
     called with one non-finite entry."""
@@ -525,7 +525,7 @@ def non_finite_calls(bad):
         "lb_cut": lambda: lb_cut(GraphCut.uniform(2).weights, x, sigma),
         # a negative relevance is rejected as such before its finiteness
         "ndcg_loss": lambda: ndcg_loss([0.5, abs(bad)], sigma,
-                                       DiscountProfile.log2(2)),
+                                       log2_discounts(2)),
         "mean_ordering": lambda: mean_ordering(two_rows, [1.0, bad]),
         "feature_inference": lambda: feature_inference(two_rows, [1.0, bad]),
         "PartialOrder": lambda: PartialOrder(((1, 2, bad),)),
@@ -553,4 +553,4 @@ def test_overflow_to_non_finite_rejected():
         mean_ordering(ScoreMatrix([[1e308, 0.0], [1e308, 0.0]]))
     with pytest.raises(ValueError, match="overflowed"):
         ndcg_loss([1.5e308, 1.5e308, 0], Permutation([3, 1, 2]),
-                  DiscountProfile.log2(3))
+                  log2_discounts(3))

@@ -1,5 +1,5 @@
-"""CLI reports: the bulk encoder against the writer it replaced, and fuzzing
-of the score-matrix parsers through `aggregate`.
+"""CLI reports: the bulk encoder against the writer it replaced, fuzzing of
+the score-matrix parsers through `aggregate`, and fuzzing of `eval`'s argv.
 
 The oracles below are the report writer and the CSV parser as they were
 before numeric arrays were written and parsed in bulk: `_sig` rounding
@@ -380,6 +380,50 @@ def test_aggregate_on_fuzzed_files_exits_cleanly(tmp_path, case):
     data = tmp_path / f"scores.{suffix}"
     data.write_text(text, encoding="utf-8")
     code, out, err = run_main(["aggregate", str(data)])
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert code == 2, err
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+
+
+int_lists = st.lists(st.integers(-1, 5), max_size=5)
+int_texts = st.one_of(
+    int_lists,
+    st.integers(1, 4).flatmap(lambda n: st.permutations(range(1, n + 1))),
+).map(lambda v: ",".join(map(str, v)))
+
+
+@st.composite
+def eval_argv(draw):
+    """`eval` argv for every metric, its required options always present,
+    over small integer lists that include 0, negative and out-of-range
+    items, cutoffs and discount tables."""
+    metric = draw(st.sampled_from(["ndcg", "auc", "kendall", "spearman"]))
+    argv = ["--tie-rule", draw(st.sampled_from(["lowest-index", "reject"])),
+            "eval", "--metric", metric, "--sigma", draw(int_texts)]
+    if metric in ("kendall", "spearman"):
+        argv += ["--pi", draw(int_texts)]
+    elif metric == "auc":
+        argv += ["--good", draw(int_texts), "--bad", draw(int_texts)]
+    else:
+        argv += ["--relevance", draw(int_texts)]
+        discount = draw(st.none() | st.just("log2")
+                        | int_lists.map(json.dumps))
+        if discount is not None:
+            argv += ["--discount", discount]
+        cutoff = draw(st.none() | st.integers(-1, 6))
+        if cutoff is not None:
+            argv += ["--cutoff", str(cutoff)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_argv())
+def test_eval_on_fuzzed_argv_exits_cleanly(argv):
+    code, out, err = run_main(argv)
     if code == 0:
         assert err == ""
         json.loads(out)

@@ -139,8 +139,21 @@ class TestTruncatedCardinality:
             assert f(A) == min(g[k], g[3])
 
     def test_cutoff_out_of_range(self):
-        with pytest.raises(ValueError):
-            CardinalityConcave.truncated(np.ones(3), 4)
+        for m in (0, 4):
+            with pytest.raises(ValueError, match=f"cutoff m={m} outside 1..3"):
+                CardinalityConcave.truncated(np.ones(3), m)
+
+    def test_increasing_table_rejected_at_any_cutoff(self):
+        # the gains after the cutoff are checked too, not only the kept ones
+        for gains, m in (([1.0, 2.0], 2), ([1.0, 0.5, 2.0], 2)):
+            with pytest.raises(ValueError, match="non-increasing"):
+                CardinalityConcave.truncated(gains, m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_at_any_rank_rejected(self, bad):
+        for gains, m in (([bad, 1.0], 1), ([1.0, bad], 2), ([1.0, bad], 1)):
+            with pytest.raises(ValueError, match="finite"):
+                CardinalityConcave.truncated(gains, m)
 
     def test_negative_gain_at_the_cutoff_rejected(self):
         # rank gains [1, -3, 0] rise after the cutoff: g is not concave
