@@ -12,6 +12,7 @@ from lbdiv import (CardinalityConcave, ExplicitTable,
                    lb_cardinality, lb_cut, lb_divergence, lb_divergence_batch,
                    lovasz_extension, mean_ordering, ndcg_loss,
                    partial_order_distortion, relabel_scores)
+from lbdiv.dataio import load_gain_table
 from conftest import (chain_subgradient, every_family, generator_zoo,
                       log2_discounts, random_concave_gains, random_graph_cut,
                       user_subclasses)
@@ -503,6 +504,25 @@ class TestKendallRecovery:
             sigma = Permutation.random(n, rng)
             value = lb_cut(W, x, sigma, 1)
             assert value == float(kendall_tau(sx, sigma))
+
+
+class TestDiscountProfile:
+    """NDCG's discounts: a gain table truncated at the cutoff."""
+
+    def test_log2_values(self):
+        D = log2_discounts(3).gains
+        assert D == pytest.approx([1.0, 1 / math.log2(3), 0.5], abs=1e-15)
+        assert log2_discounts(3, 2).gains == pytest.approx(
+            [1.0, 1 / math.log2(3), 0.0], abs=1e-15)
+
+    def test_from_json(self):
+        table = load_gain_table("[1.0, 0.5, 0.25]")
+        assert table.tolist() == [1.0, 0.5, 0.25]
+        discounts = CardinalityConcave.truncated(table, 2)
+        assert discounts.gains.tolist() == [1.0, 0.5, 0.0]
+        # the cutoff is the rank of the last nonzero gain
+        r, sigma = [1.0, 2.0, 3.0], Permutation([1, 2, 3])
+        assert ndcg_loss(r, sigma, discounts) == 0.5
 
 
 def non_finite_calls(bad):
