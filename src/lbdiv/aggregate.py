@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import ParseError, parse_csv_matrix
-from .permutation import Permutation, TieRule, induced_ordering
+from .permutation import Permutation, TieRule, _ordering, induced_ordering
 from .submodular import SetFunction
 from .divergence import lb_divergence_batch
 from .lovasz import extreme_subgradients
@@ -192,8 +192,8 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
             chosen = rng.choice(m, size=k, replace=False)
             reps = [induced_ordering(rows[i], rule) for i in chosen]
     else:
-        reps = list(init)
-        if len(reps) != k or any(len(s) != n for s in reps):
+        reps = [_ordering(s, n) for s in init]
+        if len(reps) != k:
             raise ValueError("init must provide k permutations of the items")
 
     assignments = np.zeros(m, dtype=int)

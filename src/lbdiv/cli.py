@@ -20,13 +20,12 @@ import numpy as np
 from . import dataio
 from .aggregate import (ScoreMatrix, aggregation_objective, lb_kmeans,
                         mean_ordering)
-from .dataio import ParseError
 from .divergence import (auc_loss, confidence_bound, lb_divergence,
                          lb_divergence_batch, ndcg_loss)
 from .mallows import (ExtendedLovaszMallows, LovaszMallows, estimate_log_Z,
                       log_density_unnormalized, map_permutation)
-from .permutation import (Permutation, TieError, TieRule, induced_ordering,
-                          kendall_tau, spearman_footrule)
+from .permutation import (Permutation, TieRule, induced_ordering, kendall_tau,
+                          spearman_footrule)
 from .submodular import CardinalityConcave, GraphCut, SetFunction
 
 DEFAULT_SEED = 1729
@@ -230,7 +229,7 @@ def _emit(ctx, report):
         Path(out).write_text(text, encoding="utf-8")
 
 
-@click.group()
+@click.group(no_args_is_help=False)  # a bare `lbdiv` is a usage error too
 @click.option("--generator", default="cardinality:sqrt", show_default=True,
               help="Set-function spec: cardinality:{sqrt,log,file=PATH}, "
                    "cut:{uniform,file=PATH}, or topm:M.")
@@ -445,8 +444,6 @@ def grid(ctx, sigma_source, resolution, dims):
     """Divergence sampled on a uniform lattice, for external plotting."""
     dims = int(dims)
     sigma = _parse_permutation(sigma_source)
-    if len(sigma) != dims:
-        raise ValueError(f"sigma must have length {dims}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     f = resolve_generator(ctx.obj["generator"], dims)
@@ -470,13 +467,13 @@ def main():
         # so numpy's warnings would only add lines to the one-line error
         with np.errstate(over="ignore", invalid="ignore"):
             cli(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(1)
-    except (ParseError, TieError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (click.ClickException, ValueError, OSError) as exc:
+        # click lists a choice's values one per line
+        message = (" ".join(exc.format_message().split())
+                   if isinstance(exc, click.ClickException) else exc)
+        print(f"error: {message}", file=sys.stderr)
         sys.exit(2)
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutation import Permutation, TieRule, induced_ordering, reject_ties
+from .permutation import (Permutation, TieRule, _ordering, _scores,
+                          induced_ordering, reject_ties)
 from .submodular import CardinalityConcave, GraphCut, SetFunction
 from .lovasz import extreme_subgradient
 
@@ -36,7 +37,7 @@ def lb_divergence(f: SetFunction, x, sigma: Permutation,
     zero when sigma sorts x. The value is independent of how ties in x are
     broken. The one-row case of lb_divergence_batch.
     """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
+    x = _scores(x, f.n)[None]
     return float(lb_divergence_batch(f, x, sigma, rule)[0])
 
 
@@ -57,11 +58,12 @@ def lb_divergence_batch(f: SetFunction, X,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     single = isinstance(sigma, Permutation)
-    sigmas = [sigma] if single else list(sigma)
+    sigmas = [_ordering(s, f.n) for s in ([sigma] if single else sigma)]
     if not sigmas:
         raise ValueError("need at least one ordering")
-    if X.shape[1] != f.n or any(len(s) != f.n for s in sigmas):
-        raise ValueError("length mismatch")
+    if X.shape[1] != f.n:
+        raise ValueError(
+            f"length mismatch: {X.shape[1]} scores, expected {f.n}")
     if rule is TieRule.REJECT:
         reject_ties(X)
     fhat, absX = f.lovasz_batch(X), np.abs(X)
@@ -84,9 +86,8 @@ def lb_cardinality(gains, x, sigma: Permutation,
     sum_i x(sigma_x(i)) gains(i) - sum_i x(sigma(i)) gains(i).
     """
     gains = CardinalityConcave(gains).gains
-    x = np.asarray(x, dtype=float)
-    if gains.size != x.size or len(sigma) != x.size:
-        raise ValueError("length mismatch")
+    x = _scores(x, gains.size)
+    _ordering(sigma, x.size)
     sx = induced_ordering(x, rule)
     xs = x[np.array(sx.items) - 1]
     xo = x[np.array(sigma.items) - 1]
@@ -103,10 +104,9 @@ def lb_cut(W, x, sigma: Permutation, orientation_count: int = 2,
     pair once (the weighted-Kendall convention).
     """
     W = GraphCut(W).weights
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if W.shape != (n, n) or len(sigma) != n:
-        raise ValueError("length mismatch")
+    n = len(W)
+    x = _scores(x, n)
+    _ordering(sigma, n)
     if orientation_count not in (1, 2):
         raise ValueError("orientation_count must be 1 or 2")
     inv_x = induced_ordering(x, rule).inverse()
@@ -130,9 +130,7 @@ def ndcg_loss(r, sigma: Permutation, discounts: CardinalityConcave,
     D(k) > 0 up to the cutoff k and 0 after it. Over the items of r, the
     shortfall ideal - actual is lb_divergence(discounts, r, sigma).
     """
-    r = np.asarray(r, dtype=float)
-    if r.size != len(sigma):
-        raise ValueError("length mismatch")
+    r = _scores(r, len(sigma))
     if np.any(r < 0):
         raise ValueError("relevance must be nonnegative")
     D = discounts.gains
@@ -198,9 +196,7 @@ class PartialOrder:
 
 def partial_order_distortion(order: PartialOrder, x) -> float:
     """Weighted hinge violation of the pairwise constraints by x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("scores must be finite")
+    x = _scores(x)
     total = 0.0
     for above, below, weight in order.constraints:
         if not (1 <= above <= x.size and 1 <= below <= x.size):
@@ -218,11 +214,7 @@ def confidence_bound(f: SetFunction, x) -> float:
     <x - min x, h_{sigma_x} - h_sigma>, and submodularity puts each
     component of either in [f(j | V minus j), f({j})].
     """
-    x = np.asarray(x, dtype=float)
-    if x.size != f.n:
-        raise ValueError("length mismatch")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("scores must be finite")
+    x = _scores(x, f.n)
     eps = float(x.max() - x.min())
     if eps == 0.0:
         return 0.0

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .permutation import Permutation, TieRule, reject_ties
+from .permutation import (Permutation, TieRule, _ordering, _scores,
+                          reject_ties)
 from .submodular import SetFunction, _subset_values, _tabulate
 
 ENUMERATION_LIMIT = 8  # largest n for the exhaustive n! enumerations
@@ -19,9 +20,7 @@ def extreme_subgradient(f: SetFunction, sigma: Permutation) -> np.ndarray:
     indicators of the prefix sets ending and starting at j's rank. The
     components telescope to f(V).
     """
-    if len(sigma) != f.n:
-        raise ValueError("permutation length does not match the ground set")
-    ranks = np.argsort(sigma.items)
+    ranks = np.argsort(_ordering(sigma, f.n).items)
     chain = np.zeros(f.n + 1)
     chain[1:] = f.lovasz_batch(np.arange(f.n)[:, None] >= ranks)
     return chain[ranks + 1] - chain[ranks]
@@ -52,11 +51,7 @@ def lovasz_extension(f: SetFunction, x,
     TieRule.REJECT tied entries raise TieError. The one-row case of
     f.lovasz_batch.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size != f.n:
-        raise ValueError("length mismatch")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("scores must be finite")
+    x = _scores(x, f.n)
     if rule is TieRule.REJECT:
         reject_ties(x)
     return float(f.lovasz_batch(x.reshape(1, -1))[0])
@@ -74,11 +69,7 @@ def averaged_subgradient(f: SetFunction, y,
     `zero_at_origin`, y = 0 maps to the zero vector instead of the plain
     average (the conventional pin for normalized monotone generators).
     """
-    y = np.asarray(y, dtype=float)
-    if y.size != f.n:
-        raise ValueError("length mismatch")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("scores must be finite")
+    y = _scores(y, f.n)
     if zero_at_origin and np.all(y == 0):
         return np.zeros(f.n)
     h = np.empty(f.n)

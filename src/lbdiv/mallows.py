@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .permutation import Permutation, induced_ordering
+from .permutation import Permutation, _ordering, _scores, induced_ordering
 from .submodular import SetFunction, from_descriptor
 from .aggregate import ScoreMatrix
 from .divergence import lb_divergence, lb_divergence_batch
@@ -34,8 +34,7 @@ class LovaszMallows:
     def __post_init__(self):
         if not 0 <= self.concentration < math.inf:
             raise ValueError("concentration must be finite and >= 0")
-        if len(self.reference) != self.generator.n:
-            raise ValueError("reference length does not match the ground set")
+        _ordering(self.reference, self.generator.n)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -53,7 +52,7 @@ class LovaszMallows:
 
 def log_density_unnormalized(model: LovaszMallows, x) -> float:
     """-concentration * divergence; x must lie in [0, 1]^n."""
-    x = np.asarray(x, dtype=float)
+    x = _scores(x, model.generator.n)
     if np.any(x < 0) or np.any(x > 1):
         raise ValueError("scores must lie in the unit cube [0, 1]^n")
     return -model.concentration * lb_divergence(model.generator, x,

@@ -36,7 +36,10 @@ class Permutation:
     __slots__ = ("_items",)
 
     def __init__(self, mapping):
-        items = tuple(int(v) for v in mapping)
+        values = list(mapping)
+        items = tuple(map(int, values))
+        if list(items) != values:
+            raise ValueError("permutation entries must be integers")
         n = len(items)
         if n < 1:
             raise ValueError("permutation must have length >= 1")
@@ -76,8 +79,7 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """The combined permutation (self other)(i) = self(other(i))."""
-        if len(self) != len(other):
-            raise ValueError("length mismatch in composition")
+        _ordering(other, len(self))
         return Permutation(self._items[j - 1] for j in other._items)
 
     def __eq__(self, other):
@@ -96,6 +98,27 @@ class Permutation:
         return ",".join(str(v) for v in self._items)
 
 
+def _scores(x, n: int | None = None) -> np.ndarray:
+    """x as a score vector: float, 1-d, nonempty, finite, and of length n
+    when n is given."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("score vector must be 1-d and nonempty")
+    if n is not None and x.size != n:
+        raise ValueError(f"length mismatch: {x.size} scores, expected {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("score vector must be finite")
+    return x
+
+
+def _ordering(sigma: Permutation, n: int) -> Permutation:
+    """sigma, checked to order n items."""
+    if len(sigma) != n:
+        raise ValueError(
+            f"length mismatch: ordering has {len(sigma)} items, expected {n}")
+    return sigma
+
+
 def all_permutations(n: int):
     """Yield every permutation of {1..n} in lexicographic order of the mapping."""
     for items in itertools.permutations(range(1, n + 1)):
@@ -108,11 +131,7 @@ def induced_ordering(x, rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> Permutati
     Under LOWEST_INDEX_FIRST, equal values are ordered by ascending item
     index; under REJECT, tied entries raise TieError. x must be finite.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("score vector must be 1-d and nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("score vector must be finite")
+    x = _scores(x)
     if rule is TieRule.REJECT:
         reject_ties(x)
     # stable sort on -x keeps ascending index inside tie blocks
@@ -138,17 +157,10 @@ def reject_ties(X) -> None:
 
 def relabel_scores(tau: Permutation, x):
     """The relabeled vector (tau x)(i) = x(tau^-1(i))."""
-    x = np.asarray(x, dtype=float)
-    if len(tau) != x.size:
-        raise ValueError("length mismatch")
+    x = _scores(x, len(tau))
     out = np.empty_like(x)
     out[np.array(tau.items) - 1] = x
     return out
-
-
-def _check_pair(sigma: Permutation, pi: Permutation):
-    if len(sigma) != len(pi):
-        raise ValueError("length mismatch")
 
 
 def kendall_tau(sigma: Permutation, pi: Permutation) -> int:
@@ -156,7 +168,7 @@ def kendall_tau(sigma: Permutation, pi: Permutation) -> int:
 
     Counts pairs i < j with sigma^-1(pi(i)) > sigma^-1(pi(j)).
     """
-    _check_pair(sigma, pi)
+    _ordering(pi, len(sigma))
     inv = sigma.inverse()
     r = [inv(pi(i)) for i in range(1, len(pi) + 1)]
     n = len(r)
@@ -165,7 +177,7 @@ def kendall_tau(sigma: Permutation, pi: Permutation) -> int:
 
 def spearman_footrule(sigma: Permutation, pi: Permutation) -> int:
     """Sum over items of the absolute rank displacement."""
-    _check_pair(sigma, pi)
+    _ordering(pi, len(sigma))
     a = np.array(sigma.inverse().items)
     b = np.array(pi.inverse().items)
     return int(np.abs(a - b).sum())
@@ -173,7 +185,7 @@ def spearman_footrule(sigma: Permutation, pi: Permutation) -> int:
 
 def rank_correlation(sigma: Permutation, pi: Permutation) -> int:
     """Sum over items of the squared rank displacement."""
-    _check_pair(sigma, pi)
+    _ordering(pi, len(sigma))
     a = np.array(sigma.inverse().items)
     b = np.array(pi.inverse().items)
     return int(((a - b) ** 2).sum())

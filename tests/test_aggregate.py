@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, GraphCut, Permutation, ScoreMatrix,
-                   TieRule, aggregation_objective,
-                   all_permutations, brute_force_mean, feature_inference,
-                   induced_ordering, lb_divergence, lb_kmeans, mean_ordering)
+                   aggregation_objective, all_permutations, brute_force_mean,
+                   feature_inference, induced_ordering, lb_divergence,
+                   lb_kmeans, mean_ordering)
 from lbdiv.dataio import ParseError
 from conftest import (generator_zoo, random_cardinality, random_concave_gains,
                       random_graph_cut)
@@ -344,6 +344,10 @@ class TestKMeans:
         for tol in (-1.0, math.nan):
             with pytest.raises(ValueError, match="tol >= 0"):
                 lb_kmeans(m, f, k=2, tol=tol)
+        one, three = Permutation([1, 2]), Permutation([1, 2, 3])
+        for init in ([one], [one, one, one], [one, three]):
+            with pytest.raises(ValueError):
+                lb_kmeans(m, f, k=2, init=init)
 
     def test_result_serializes(self, rng):
         m = ScoreMatrix(rng.random((4, 2)))

@@ -290,6 +290,13 @@ class TestErrorStreams:
         assert proc.stdout == ""
         assert "line 2" in proc.stderr
 
+    def test_help_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "lbdiv.cli", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("Usage: ")
+        assert proc.stderr == ""
+
 
 class TestInputBoundary:
     """Malformed or non-finite input exits 2 with one line on stderr."""
@@ -303,6 +310,21 @@ class TestInputBoundary:
         assert out == ""
         assert len(err.splitlines()) == 1
         return err
+
+    @pytest.mark.parametrize("args, message", [
+        (("eval", "--metric", "kendall", "--sigma", "1,2"),
+         "--pi is required for kendall"),
+        (("eval", "--sigma", "1,2"), "'--metric'"),
+        (("cluster",), "'MATRIX_SOURCE'"),
+        (("--format", "xml", "divergence", "--x", "1", "--sigma", "1"),
+         "'xml'"),
+        ((), "Missing command"),
+    ], ids=["missing-option", "missing-choice", "missing-argument",
+            "bad-choice", "missing-command"])
+    def test_usage_error(self, monkeypatch, capsys, args, message):
+        # click's usage errors take the library errors' one-line path
+        err = self.run_main(monkeypatch, capsys, *args)
+        assert err.startswith("error: ") and message in err
 
     def test_json_matrix_without_rows(self, monkeypatch, capsys, tmp_path):
         data = tmp_path / "rows.json"

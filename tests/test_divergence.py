@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -534,6 +533,7 @@ def non_finite_calls(bad):
     two_rows = ScoreMatrix([[1.0, 2.0], [3.0, 4.0]])
     return {
         "induced_ordering": lambda: induced_ordering(x),
+        "relabel_scores": lambda: relabel_scores(sigma, x),
         "lb_divergence": lambda: lb_divergence(f, x, sigma),
         "lb_divergence_batch": lambda: lb_divergence_batch(
             GraphCut.uniform(2), [[0.1, 0.2], x], sigma),

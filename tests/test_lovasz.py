@@ -199,6 +199,14 @@ class TestAveragedSubgradient:
             averaged_subgradient(CardinalityConcave.sqrt(2), [0.5, bad])
 
 
+@pytest.mark.parametrize("fn", [lovasz_extension, averaged_subgradient],
+                         ids=lambda fn: fn.__name__)
+def test_matrix_of_scores_rejected(fn):
+    # a 2x2 matrix has n = 4 entries but is not a score vector
+    with pytest.raises(ValueError, match="1-d"):
+        fn(CardinalityConcave.sqrt(4), np.ones((2, 2)))
+
+
 class TestDistinctExtremePoints:
     def test_strictly_decreasing_gains_distinct(self):
         assert has_distinct_extreme_points(CardinalityConcave.sqrt(4))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from lbdiv import (CardinalityConcave, ExplicitTable, ExtendedLovaszMallows,
                    GraphCut, LovaszMallows, Permutation, ScoreMatrix,
                    all_permutations, estimate_log_Z, extended_log_density,
-                   induced_ordering, lb_divergence, lb_divergence_batch,
+                   induced_ordering, lb_divergence_batch,
                    log_density_unnormalized, map_permutation, mean_ordering)
 
 SQRT3_DIV = 0.038550526870925236

@@ -1,5 +1,5 @@
-"""Package hygiene: every module uses each name it imports, and no module
-dispatches on a generator's class."""
+"""Package hygiene: every module and test file uses each name it imports,
+and no module dispatches on a generator's class."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ from lbdiv import SetFunction
 
 MODULES = sorted(p for p in Path(lbdiv.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -28,7 +29,8 @@ def unused_imports(source):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: (
+    p.name if p in MODULES else f"tests/{p.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -29,6 +29,14 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([])
 
+    def test_rejects_non_integral_entries(self):
+        for mapping in ([1.5, 2.7], [1, 2.5], np.array([2.0, 0.5])):
+            with pytest.raises(ValueError, match="integers"):
+                Permutation(mapping)
+        # integral floats are the integers they equal
+        assert Permutation([2.0, 1.0]) == Permutation([2, 1])
+        assert Permutation(np.array([1.0, 3.0, 2.0])).items == (1, 3, 2)
+
     def test_inverse_roundtrip(self):
         sigma = Permutation([2, 3, 1])
         inv = sigma.inverse()

@@ -398,18 +398,23 @@ int_texts = st.one_of(
 
 @st.composite
 def eval_argv(draw):
-    """`eval` argv for every metric, its required options always present,
-    over small integer lists that include 0, negative and out-of-range
-    items, cutoffs and discount tables."""
+    """`eval` argv for every metric, over small integer lists that include
+    0, negative and out-of-range items, cutoffs and discount tables. Any
+    option, a required one too, may be left out."""
+    def option(name, value):
+        return [name, value] if draw(st.integers(0, 7)) else []
+
     metric = draw(st.sampled_from(["ndcg", "auc", "kendall", "spearman"]))
     argv = ["--tie-rule", draw(st.sampled_from(["lowest-index", "reject"])),
-            "eval", "--metric", metric, "--sigma", draw(int_texts)]
+            "eval", *option("--metric", metric),
+            *option("--sigma", draw(int_texts))]
     if metric in ("kendall", "spearman"):
-        argv += ["--pi", draw(int_texts)]
+        argv += option("--pi", draw(int_texts))
     elif metric == "auc":
-        argv += ["--good", draw(int_texts), "--bad", draw(int_texts)]
+        argv += option("--good", draw(int_texts))
+        argv += option("--bad", draw(int_texts))
     else:
-        argv += ["--relevance", draw(int_texts)]
+        argv += option("--relevance", draw(int_texts))
         discount = draw(st.none() | st.just("log2")
                         | int_lists.map(json.dumps))
         if discount is not None:
