@@ -2,9 +2,9 @@
 permutations, with rank aggregation, clustering, ranking measures, and
 Mallows-style models built on top."""
 
-from .permutation import (Permutation, TieError, TieRule, all_permutations,
-                          induced_ordering, kendall_tau, rank_correlation,
-                          relabel_scores, spearman_footrule)
+from .permutation import (Permutation, TieError, TieRule, induced_ordering,
+                          kendall_tau, rank_correlation, relabel_scores,
+                          spearman_footrule)
 from .submodular import (CardinalityConcave, ExplicitTable, GraphCut,
                          Modular, SetFunction, Sum, from_descriptor,
                          is_monotone, is_submodular)
@@ -15,8 +15,7 @@ from .divergence import (PartialOrder, auc_loss, confidence_bound,
                          lb_divergence_batch, ndcg_loss,
                          partial_order_distortion)
 from .aggregate import (ClusteringResult, ScoreMatrix, aggregation_objective,
-                        brute_force_mean, feature_inference, lb_kmeans,
-                        mean_ordering)
+                        feature_inference, lb_kmeans, mean_ordering)
 from .mallows import (ExtendedDensity, ExtendedLovaszMallows, LovaszMallows,
                       estimate_log_Z, extended_log_density,
                       log_density_unnormalized, map_permutation)

@@ -2,8 +2,7 @@
 
 The representative ("mean") ordering of a score collection has a closed
 form: it is the ordering of the (weighted) arithmetic mean, independent of
-the generator. `brute_force_mean` is the enumeration oracle that validates
-this.
+the generator.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .dataio import ParseError, parse_csv_matrix
 from .permutation import Permutation, TieRule, _ordering, induced_ordering
 from .submodular import SetFunction
 from .divergence import lb_divergence_batch
-from .lovasz import extreme_subgradients
 
 
 @dataclass(frozen=True)
@@ -103,21 +101,6 @@ def aggregation_objective(matrix: ScoreMatrix, f: SetFunction,
     """Weighted total divergence of the rows to sigma."""
     w = _resolve_weights(matrix, weights)
     return float(w @ lb_divergence_batch(f, matrix.rows, sigma))
-
-
-def brute_force_mean(matrix: ScoreMatrix, f: SetFunction,
-                     weights=None) -> Permutation:
-    """Enumeration oracle (n <= lovasz.ENUMERATION_LIMIT): the lexicographically
-    first sigma whose objective w . f-hat(X) - <h_sigma, X^T w> is within
-    1e-9 of the minimum, relative to the largest |h_sigma| . |X^T w|, so
-    that ties do not depend on the order of summation."""
-    if matrix.n_items != f.n:
-        raise ValueError("score width does not match the ground set")
-    P, H = extreme_subgradients(f)
-    v = _resolve_weights(matrix, weights) @ matrix.rows
-    linear = H @ v
-    tol = 1e-9 * (np.abs(H) @ np.abs(v)).max()
-    return Permutation(P[np.flatnonzero(linear >= linear.max() - tol)[0]])
 
 
 def feature_inference(features: ScoreMatrix, w,

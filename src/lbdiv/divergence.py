@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutation import (Permutation, TieRule, _ordering, _scores,
+from .permutation import (Permutation, TieRule, _items, _ordering, _scores,
                           induced_ordering, reject_ties)
 from .submodular import CardinalityConcave, GraphCut, SetFunction
 from .lovasz import extreme_subgradient
@@ -152,8 +152,7 @@ def ndcg_loss(r, sigma: Permutation, discounts: CardinalityConcave,
 
 def auc_loss(good, bad, sigma: Permutation) -> float:
     """Fraction of (good, bad) pairs that sigma ranks in the wrong order."""
-    G = frozenset(int(g) for g in good)
-    B = frozenset(int(b) for b in bad)
+    G, B = frozenset(_items(good)), frozenset(_items(bad))
     if not G or not B:
         raise ValueError("good and bad sets must be nonempty")
     if G & B:
@@ -178,7 +177,7 @@ class PartialOrder:
     def __post_init__(self):
         cons = []
         for above, below, weight in self.constraints:
-            above, below, weight = int(above), int(below), float(weight)
+            (above, below), weight = _items((above, below)), float(weight)
             if above == below:
                 raise ValueError(f"constraint pairs item {above} with itself")
             if not 0 < weight < math.inf:

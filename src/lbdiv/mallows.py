@@ -15,10 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .permutation import Permutation, _ordering, _scores, induced_ordering
-from .submodular import SetFunction, from_descriptor
+from .submodular import (_CHECK_LIMIT, SetFunction, _subset_values,
+                         from_descriptor)
 from .aggregate import ScoreMatrix
 from .divergence import lb_divergence, lb_divergence_batch
-from .lovasz import ENUMERATION_LIMIT, extreme_subgradient, extreme_subgradients
+from .lovasz import extreme_subgradient
 
 _MC_CHUNK = 4096
 
@@ -128,19 +129,34 @@ def extended_log_density(model: ExtendedLovaszMallows,
                          sigma: Permutation) -> ExtendedDensity:
     """Log probability of sigma under the extended model.
 
-    Normalized exactly over all n! permutations for n <= ENUMERATION_LIMIT
-    as -log sum_pi exp <h_pi - h_sigma, X^T theta> (the f-hat terms cancel);
-    beyond that the unnormalized value comes with normalized=False.
+    With v = X^T theta the f-hat terms cancel: log p(sigma) = <h_sigma, v>
+    - log Z, log Z = log sum_pi exp <h_pi, v>. Along pi's prefix chain,
+    <h_pi, v> gains v_i (f(S + i) - f(S)) per step, so log Z = L(V) for
+    L(empty) = 0, L(S) = logsumexp over i in S of L(S - i) + v_i (f(S) -
+    f(S - i)) (Held and Karp 1962, with logsumexp in place of min), taken
+    layer by layer over the 2^n values of f-hat at the indicators, with
+    f(empty) = 0 as in h's chain. Normalized for n <= 20; beyond that the
+    unnormalized value comes with normalized=False.
     """
-    theta = np.array(model.concentrations)
-    if model.generator.n > ENUMERATION_LIMIT:
+    f, theta = model.generator, np.array(model.concentrations)
+    if f.n > _CHECK_LIMIT:
         return ExtendedDensity(-float(theta @ lb_divergence_batch(
-            model.generator, model.scores.rows, sigma)), False)
+            f, model.scores.rows, sigma)), False)
     v = theta @ model.scores.rows
-    delta = (extreme_subgradients(model.generator)[1]
-             - extreme_subgradient(model.generator, sigma)) @ v
-    top = delta.max()
-    return ExtendedDensity(-float(top + math.log(np.exp(delta - top).sum())), True)
+    energy = float(extreme_subgradient(f, sigma) @ v)
+    F = _subset_values(f, np.arange(f.n))
+    masks = np.arange(F.size)
+    sizes = np.bitwise_count(masks)
+    L = np.full(F.size, -np.inf)
+    L[0] = 0.0
+    for k in range(1, f.n + 1):
+        S = masks[sizes == k, None]
+        # T = S - i for i in S; for i outside S it lies a layer up, at -inf
+        T = S ^ 1 << np.arange(f.n)
+        terms = L[T] + v * (F[S] - F[T])
+        top = terms.max(axis=1, keepdims=True)
+        L[S] = top + np.log(np.exp(terms - top).sum(axis=1, keepdims=True))
+    return ExtendedDensity(energy - float(L[-1]), True)
 
 
 def map_permutation(model: ExtendedLovaszMallows) -> Permutation:

@@ -6,7 +6,6 @@ sigma(i) is the item placed at rank i, sigma^-1(j) is the rank of item j.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 import numpy as np
@@ -36,10 +35,7 @@ class Permutation:
     __slots__ = ("_items",)
 
     def __init__(self, mapping):
-        values = list(mapping)
-        items = tuple(map(int, values))
-        if list(items) != values:
-            raise ValueError("permutation entries must be integers")
+        items = _items(mapping)
         n = len(items)
         if n < 1:
             raise ValueError("permutation must have length >= 1")
@@ -111,18 +107,24 @@ def _scores(x, n: int | None = None) -> np.ndarray:
     return x
 
 
+def _items(values) -> tuple:
+    """values as item numbers: ints, each equal to the finite number given."""
+    values = list(values)
+    try:
+        items = tuple(map(int, values))
+    except (OverflowError, ValueError):  # inf, nan or text that is no number
+        items = ()
+    if list(items) != values:
+        raise ValueError("items must be finite integers")
+    return items
+
+
 def _ordering(sigma: Permutation, n: int) -> Permutation:
     """sigma, checked to order n items."""
     if len(sigma) != n:
         raise ValueError(
             f"length mismatch: ordering has {len(sigma)} items, expected {n}")
     return sigma
-
-
-def all_permutations(n: int):
-    """Yield every permutation of {1..n} in lexicographic order of the mapping."""
-    for items in itertools.permutations(range(1, n + 1)):
-        yield Permutation(items)
 
 
 def induced_ordering(x, rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> Permutation:

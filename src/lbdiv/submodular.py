@@ -343,19 +343,23 @@ def _tabulate(f: SetFunction) -> np.ndarray:
     return F
 
 
+def _pairwise_margins(f: SetFunction):
+    """For each pair i < j, the margins f(A + i) + f(A + j) - f(A + i + j)
+    - f(A) over every A holding neither, one array per pair."""
+    F = _tabulate(f)
+    A = np.arange(1 << f.n)
+    for i, j in itertools.combinations(range(f.n), 2):
+        B = A[A & (1 << i | 1 << j) == 0]
+        yield F[B | 1 << i] + F[B | 1 << j] - F[B | 1 << i | 1 << j] - F[B]
+
+
 def is_submodular(f: SetFunction, tol: float = _TOL) -> bool:
     """Exhaustively check diminishing returns, within absolute `tol`.
 
     Uses the equivalent pairwise condition
     f(A + i) + f(A + j) >= f(A + i + j) + f(A) for all A and i != j outside A.
     """
-    F = _tabulate(f)
-    A = np.arange(1 << f.n)
-    for i, j in itertools.combinations(range(f.n), 2):
-        B = A[A & (1 << i | 1 << j) == 0]
-        if np.any(F[B | 1 << i] + F[B | 1 << j] < F[B | 1 << i | 1 << j] + F[B] - tol):
-            return False
-    return True
+    return all(np.all(m >= -tol) for m in _pairwise_margins(f))
 
 
 def is_monotone(f: SetFunction, tol: float = _TOL) -> bool:

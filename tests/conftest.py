@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular,
-                   Permutation, SetFunction, Sum)
+                   Permutation, ScoreMatrix, SetFunction, Sum)
+from lbdiv.aggregate import _resolve_weights
+from lbdiv.submodular import _tabulate
+
+ENUMERATION_LIMIT = 8  # largest n for the exhaustive n! enumerations
 
 
 def random_concave_gains(rng, n):
@@ -102,6 +106,44 @@ def chain_subgradient(f, sigma):
     h = np.empty(f.n)
     h[np.array(sigma.items) - 1] = np.diff(chain)
     return h
+
+
+def all_permutations(n: int):
+    """Yield every permutation of {1..n} in lexicographic order of the mapping."""
+    for items in itertools.permutations(range(1, n + 1)):
+        yield Permutation(items)
+
+
+def extreme_subgradients(f: SetFunction):
+    """Every extreme subgradient at once (n <= ENUMERATION_LIMIT): P holds the
+    n! orderings, 1-based, in all_permutations order, and H[k] is h_{P[k]},
+    the differences of f's 2^n-value table along P[k]'s prefix bitmasks."""
+    if f.n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration limited to n <= {ENUMERATION_LIMIT}")
+    # lexicographic: each first item k, then the shorter orderings shifted past k
+    P = np.zeros((1, 0), dtype=int)
+    for m in range(1, f.n + 1):
+        k = np.arange(m)[:, None, None]
+        P = np.concatenate((np.broadcast_to(k, (m, len(P), 1)), P + (P >= k)),
+                           axis=2).reshape(-1, m)
+    chains = _tabulate(f)[np.cumsum(1 << P, axis=1)]
+    gains = np.diff(chains, axis=1, prepend=0.0)
+    return P + 1, np.take_along_axis(gains, np.argsort(P, axis=1), axis=1)
+
+
+def brute_force_mean(matrix: ScoreMatrix, f: SetFunction,
+                     weights=None) -> Permutation:
+    """Enumeration oracle (n <= ENUMERATION_LIMIT): the lexicographically
+    first sigma whose objective w . f-hat(X) - <h_sigma, X^T w> is within
+    1e-9 of the minimum, relative to the largest |h_sigma| . |X^T w|, so
+    that ties do not depend on the order of summation."""
+    if matrix.n_items != f.n:
+        raise ValueError("score width does not match the ground set")
+    P, H = extreme_subgradients(f)
+    v = _resolve_weights(matrix, weights) @ matrix.rows
+    linear = H @ v
+    tol = 1e-9 * (np.abs(H) @ np.abs(v)).max()
+    return Permutation(P[np.flatnonzero(linear >= linear.max() - tol)[0]])
 
 
 def tie_consistent_count(y) -> int:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, GraphCut, Permutation, ScoreMatrix,
-                   aggregation_objective, all_permutations, brute_force_mean,
-                   feature_inference, induced_ordering, lb_divergence,
-                   lb_kmeans, mean_ordering)
+                   aggregation_objective, feature_inference, induced_ordering,
+                   lb_divergence, lb_kmeans, mean_ordering)
 from lbdiv.dataio import ParseError
-from conftest import (generator_zoo, random_cardinality, random_concave_gains,
+from conftest import (all_permutations, brute_force_mean, generator_zoo,
+                      random_cardinality, random_concave_gains,
                       random_graph_cut)
 
 PAPER_ROWS = [[1.9, 2], [1.8, 2], [1.95, 2], [2, 1], [2.5, 1.2]]

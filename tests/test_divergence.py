@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 from lbdiv import (CardinalityConcave, ExplicitTable,
                    ExtendedLovaszMallows, GraphCut, LovaszMallows, Modular,
                    PartialOrder, Permutation, ScoreMatrix, Sum, TieError,
-                   TieRule, all_permutations, auc_loss, confidence_bound,
-                   feature_inference, induced_ordering, kendall_tau,
-                   lb_cardinality, lb_cut, lb_divergence, lb_divergence_batch,
-                   lovasz_extension, mean_ordering, ndcg_loss,
-                   partial_order_distortion, relabel_scores)
+                   TieRule, auc_loss, confidence_bound, feature_inference,
+                   induced_ordering, kendall_tau, lb_cardinality, lb_cut,
+                   lb_divergence, lb_divergence_batch, lovasz_extension,
+                   mean_ordering, ndcg_loss, partial_order_distortion,
+                   relabel_scores)
 from lbdiv.dataio import load_gain_table
-from conftest import (chain_subgradient, every_family, generator_zoo,
-                      log2_discounts, random_concave_gains, random_graph_cut,
-                      user_subclasses)
+from conftest import (all_permutations, chain_subgradient, every_family,
+                      generator_zoo, log2_discounts, random_concave_gains,
+                      random_graph_cut, user_subclasses)
 
 SQRT3_DIV = 0.038550526870925236  # frozen from the by-hand gain-table sums
 
@@ -285,6 +286,12 @@ class TestRankingMeasures:
             auc_loss(set(), {1}, Permutation([1, 2]))
         with pytest.raises(ValueError):
             auc_loss({1}, {1, 2}, Permutation([1, 2]))
+        # non-integral items were once truncated: 1.5 and 2.9 to 1 and 2
+        for good, bad in (([1.5], [2.9]), ([1], [2.5]), ([np.inf], [2]),
+                          ([1], [np.nan])):
+            with pytest.raises(ValueError, match="integers"):
+                auc_loss(good, bad, Permutation([2, 1, 3]))
+        assert auc_loss([1.0], [2.0], Permutation([2, 1, 3])) == 1.0
 
     @pytest.mark.parametrize("good, bad, outside", [
         ({0}, {1}, [0]), ({1}, {4}, [4]), ({-1, 2}, {3, 5}, [-1, 5])])
@@ -334,6 +341,9 @@ class TestPartialOrder:
             PartialOrder(((1, 1, 1.0),))
         with pytest.raises(ValueError):
             PartialOrder(((1, 2, 0.0),))
+        for above, below in ((1.5, 2), (1, 2.9), (np.inf, 2), (1, np.nan)):
+            with pytest.raises(ValueError, match="integers"):
+                PartialOrder(((above, below, 1.0),))
         with pytest.raises(ValueError):
             partial_order_distortion(PartialOrder(((1, 5, 1.0),)), [0.1, 0.2])
 
@@ -525,8 +535,8 @@ class TestDiscountProfile:
 
 
 def non_finite_calls(bad):
-    """Every public entry point that takes a score vector or a weight,
-    called with one non-finite entry."""
+    """Every public entry point that takes a score vector, a weight or an
+    ordering, called with one non-finite entry."""
     f = CardinalityConcave.sqrt(2)
     sigma = Permutation([1, 2])
     x = [0.5, bad]
@@ -550,6 +560,10 @@ def non_finite_calls(bad):
         "feature_inference": lambda: feature_inference(two_rows, [1.0, bad]),
         "PartialOrder": lambda: PartialOrder(((1, 2, bad),)),
         "LovaszMallows": lambda: LovaszMallows(f, sigma, bad),
+        "Permutation": lambda: Permutation([bad, 1]),
+        "LovaszMallows.from_json": lambda: LovaszMallows.from_json(json.dumps(
+            {"generator": f.descriptor(), "reference": [bad, 1],
+             "concentration": 1.0})),
         "ExtendedLovaszMallows": lambda: ExtendedLovaszMallows(
             f, two_rows, (1.0, bad)),
     }

@@ -6,14 +6,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from lbdiv import (CardinalityConcave, GraphCut, Permutation, TieError,
-                   TieRule, all_permutations, averaged_subgradient,
-                   extreme_subgradient, has_distinct_extreme_points,
-                   induced_ordering, is_monotone, is_submodular,
-                   lovasz_extension)
-from lbdiv.lovasz import ENUMERATION_LIMIT, extreme_subgradients
+from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Permutation,
+                   TieError, TieRule, averaged_subgradient, extreme_subgradient,
+                   has_distinct_extreme_points, induced_ordering, is_monotone,
+                   is_submodular, lovasz_extension)
 from lbdiv.submodular import CUT_CHUNK_ROWS, _tabulate
-from conftest import (chain_subgradient, enumerated_average, every_family,
+from conftest import (ENUMERATION_LIMIT, all_permutations, chain_subgradient,
+                      enumerated_average, every_family, extreme_subgradients,
                       generator_zoo, tie_consistent_count,
                       tie_consistent_permutations, user_subclasses)
 
@@ -217,7 +216,44 @@ class TestDistinctExtremePoints:
 
     def test_limit(self):
         with pytest.raises(ValueError):
-            has_distinct_extreme_points(CardinalityConcave.sqrt(9))
+            has_distinct_extreme_points(CardinalityConcave.sqrt(21))
+
+    def test_path_cut_unlinked_items_swap_to_equal_points(self):
+        # items 1 and 3 share no edge, so swapping them after any prefix
+        # leaves h unchanged up to rounding
+        f = GraphCut([[0, .1, 0], [.1, 0, .2], [0, .2, 0]])
+        assert not has_distinct_extreme_points(f)
+
+    def test_agrees_with_enumeration_on_submodular_generators(self, rng):
+        def distinct_by_enumeration(f, tol=1e-9):
+            # every pair of the n! rows differs by more than tol somewhere
+            _, H = extreme_subgradients(f)
+            gaps = np.abs(H[:, None] - H[None]).max(axis=2)
+            np.fill_diagonal(gaps, np.inf)
+            return bool(np.all(gaps > tol))
+
+        seen = set()
+        for n in range(1, 7):
+            for f in every_family(rng, n) + user_subclasses(rng, n):
+                if is_submodular(f):
+                    expected = distinct_by_enumeration(f)
+                    assert has_distinct_extreme_points(f) == expected
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    def test_not_submodular_is_false(self):
+        # a supermodular f: every margin is negative, and its extreme
+        # points are distinct all the same
+        f = CardinalityConcave.sqrt(4)
+        g = ExplicitTable.from_function(4, lambda S: -f(S))
+        assert not is_submodular(g)
+        assert not has_distinct_extreme_points(g)
+
+    def test_beyond_enumeration(self):
+        assert has_distinct_extreme_points(CardinalityConcave.sqrt(12))
+        # tied gains at the lattice limit: 20! points, many equal
+        assert not has_distinct_extreme_points(
+            CardinalityConcave.top_m(20, 19))
 
 
 class TestUserSubclass:

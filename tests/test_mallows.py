@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, ExplicitTable, ExtendedLovaszMallows,
-                   GraphCut, LovaszMallows, Permutation, ScoreMatrix,
-                   all_permutations, estimate_log_Z, extended_log_density,
-                   induced_ordering, lb_divergence_batch,
-                   log_density_unnormalized, map_permutation, mean_ordering)
+                   GraphCut, LovaszMallows, Modular, Permutation, ScoreMatrix,
+                   estimate_log_Z, extended_log_density, induced_ordering,
+                   lb_divergence_batch, log_density_unnormalized,
+                   map_permutation, mean_ordering)
+from conftest import (all_permutations, every_family, extreme_subgradients,
+                      user_subclasses)
 
 SQRT3_DIV = 0.038550526870925236
 
@@ -147,12 +149,59 @@ class TestExtendedModel:
             extended_log_density(model, Permutation.identity(4))
 
     def test_large_n_unnormalized_flag(self, rng):
-        n = 9
+        n = 21
         model = ExtendedLovaszMallows(
             CardinalityConcave.sqrt(n), ScoreMatrix(rng.random((2, n))),
             (1.0, 1.0))
         value = extended_log_density(model, Permutation.identity(n))
         assert not value.normalized
+
+    def test_closed_forms_beyond_enumeration(self, rng):
+        # theta = 0 makes every ordering equally likely, and a modular f
+        # has h_pi = w for every pi: both give -log n! for every sigma
+        n = 12
+        rows = ScoreMatrix(rng.random((3, n)))
+        for model in (
+                ExtendedLovaszMallows(CardinalityConcave.sqrt(n), rows,
+                                      (0.0,) * 3),
+                ExtendedLovaszMallows(Modular(rng.uniform(-2.0, 2.0, n)),
+                                      rows, (0.5, 1.0, 2.0))):
+            for _ in range(3):
+                value = extended_log_density(model, Permutation.random(n, rng))
+                assert value.normalized
+                assert value.log_density == pytest.approx(
+                    -math.lgamma(n + 1), rel=1e-12)
+
+    def test_normalized_at_the_lattice_limit(self, rng):
+        n = 20
+        model = ExtendedLovaszMallows(Modular(rng.uniform(-2.0, 2.0, n)),
+                                      ScoreMatrix(rng.random((2, n))),
+                                      (1.0, 2.0))
+        value = extended_log_density(model, Permutation.random(n, rng))
+        assert value.normalized
+        assert value.log_density == pytest.approx(-math.lgamma(n + 1),
+                                                  rel=1e-12)
+
+    def test_matches_enumeration_for_every_family(self, rng):
+        # the oracle: -log sum_pi exp <h_pi - h_sigma, v> over the n! table;
+        # OffsetCoverage has f(empty) = 10, which h's chain does not read
+        for n in range(1, 7):
+            for f in every_family(rng, n) + user_subclasses(rng, n):
+                rows = rng.random((3, n))
+                theta = rng.uniform(0.2, 3.0, size=3)
+                model = ExtendedLovaszMallows(f, ScoreMatrix(rows),
+                                              tuple(theta))
+                P, H = extreme_subgradients(f)
+                v = theta @ rows
+                for k in rng.choice(len(P), size=min(len(P), 3),
+                                    replace=False):
+                    delta = (H - H[k]) @ v
+                    top = delta.max()
+                    expected = -(top + math.log(np.exp(delta - top).sum()))
+                    value = extended_log_density(model, Permutation(P[k]))
+                    assert value.normalized
+                    assert value.log_density == pytest.approx(
+                        expected, rel=1e-12, abs=1e-12)
 
     def test_mode_is_weighted_mean_ordering(self, rng):
         for _ in range(20):

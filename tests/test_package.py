@@ -75,3 +75,37 @@ def test_detects_dispatch_on_generator_class():
               "isinstance(f, SetFunction)\n")
     assert generator_dispatch(source) == [
         (2, "chain_values"), (3, "ExplicitTable"), (4, "GraphCut")]
+
+
+# the n! enumerations live in the tests as oracles; src/ reads 2^n tables
+ENUMERATION_NAMES = {"permutations", "factorial"}
+
+
+def enumeration_uses(source):
+    """(line, name) for each import, name or attribute that is
+    `permutations` or `factorial`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            names = [getattr(node, "id", getattr(node, "attr", None))]
+        found += [(node.lineno, name) for name in names
+                  if name in ENUMERATION_NAMES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(lbdiv.__file__)],
+                         ids=lambda p: p.name)
+def test_no_enumeration_of_orderings(path):
+    assert enumeration_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_enumeration_of_orderings():
+    source = ("import itertools\nfrom math import factorial, comb\n"
+              "itertools.permutations(range(3))\n"
+              "from itertools import permutations as perms\n"
+              "math.factorial(4) + comb(4, 2)\n")
+    assert enumeration_uses(source) == [
+        (2, "factorial"), (3, "permutations"), (4, "permutations"),
+        (5, "factorial")]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbdiv import (Permutation, TieError, TieRule, all_permutations,
-                   induced_ordering, kendall_tau, rank_correlation,
-                   relabel_scores, spearman_footrule)
+from lbdiv import (Permutation, TieError, TieRule, induced_ordering,
+                   kendall_tau, rank_correlation, relabel_scores,
+                   spearman_footrule)
+from conftest import all_permutations
 
 
 def perms(max_n=8):
