@@ -138,9 +138,6 @@ class ClusteringResult:
             "converged": self.converged,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
               max_iter: int = 100, tol: float = 1e-9, seed: int = 0,

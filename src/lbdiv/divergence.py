@@ -1,8 +1,9 @@
-"""Score/permutation divergences: the generic inner-product form, its
-specialized closed forms, and ranking measures (NDCG, AUC, partial orders).
+"""Score/permutation divergences: the generic inner-product form and the
+ranking measures built on it (NDCG, AUC, partial orders).
 
 The generic form <x, h_{sigma_x} - h_sigma> is the single source of truth;
-every specialization is validated against it in the test suite.
+NDCG is computed through it, and the closed forms for cardinality and cut
+generators are kept in the test suite as oracles against it.
 """
 
 from __future__ import annotations
@@ -15,18 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import (Permutation, TieRule, _items, _ordering, _scores,
-                          induced_ordering, reject_ties)
-from .submodular import CardinalityConcave, GraphCut, SetFunction
+                          reject_ties)
+from .submodular import CardinalityConcave, SetFunction
 from .lovasz import extreme_subgradient
 
 _ZERO_GUARD = 1e-12
-
-
-def _clamp(value: float) -> float:
-    # floating-point guard: tiny negatives are exact zeros
-    if -_ZERO_GUARD <= value < 0.0:
-        return 0.0
-    return value
 
 
 def lb_divergence(f: SetFunction, x, sigma: Permutation,
@@ -37,6 +31,7 @@ def lb_divergence(f: SetFunction, x, sigma: Permutation,
     zero when sigma sorts x. The value is independent of how ties in x are
     broken. The one-row case of lb_divergence_batch.
     """
+    sigma = _ordering(sigma, f.n)
     x = _scores(x, f.n)[None]
     return float(lb_divergence_batch(f, x, sigma, rule)[0])
 
@@ -79,47 +74,6 @@ def lb_divergence_batch(f: SetFunction, X,
     return out[:, 0] if single else out
 
 
-def lb_cardinality(gains, x, sigma: Permutation,
-                   rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
-    """Closed form for cardinality-based generators.
-
-    sum_i x(sigma_x(i)) gains(i) - sum_i x(sigma(i)) gains(i).
-    """
-    gains = CardinalityConcave(gains).gains
-    x = _scores(x, gains.size)
-    _ordering(sigma, x.size)
-    sx = induced_ordering(x, rule)
-    xs = x[np.array(sx.items) - 1]
-    xo = x[np.array(sigma.items) - 1]
-    return _clamp(float((xs - xo) @ gains))
-
-
-def lb_cut(W, x, sigma: Permutation, orientation_count: int = 2,
-           rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
-    """Pairwise discordance form for graph-cut generators.
-
-    Sums W(a, b) |x_a - x_b| over pairs placed discordantly by sigma versus
-    the ordering of x. orientation_count = 2 counts both orientations of
-    each pair and matches the generic inner-product form; 1 counts each
-    pair once (the weighted-Kendall convention).
-    """
-    W = GraphCut(W).weights
-    n = len(W)
-    x = _scores(x, n)
-    _ordering(sigma, n)
-    if orientation_count not in (1, 2):
-        raise ValueError("orientation_count must be 1 or 2")
-    inv_x = induced_ordering(x, rule).inverse()
-    total = 0.0
-    for i in range(1, n + 1):
-        a = sigma(i)
-        for j in range(i + 1, n + 1):
-            b = sigma(j)
-            if inv_x(a) > inv_x(b):
-                total += W[a - 1, b - 1] * abs(x[a - 1] - x[b - 1])
-    return _clamp(orientation_count * total)
-
-
 def ndcg_loss(r, sigma: Permutation, discounts: CardinalityConcave,
               rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
     """Discounted-gain shortfall of sigma relative to the ideal ordering of r,
@@ -127,27 +81,28 @@ def ndcg_loss(r, sigma: Permutation, discounts: CardinalityConcave,
 
     The discounts are a truncated cardinality generator, as
     CardinalityConcave.truncated(D, k) builds it: rank gains D(1) >= ... >=
-    D(k) > 0 up to the cutoff k and 0 after it. Over the items of r, the
-    shortfall ideal - actual is lb_divergence(discounts, r, sigma).
+    D(k) > 0 up to the cutoff k and 0 after it. With g those gains over the
+    items of r, the loss is d(r || sigma) / g-hat(r): the shortfall ideal -
+    actual is the divergence, and the ideal gain is g's Lovasz extension.
     """
+    sigma = _ordering(sigma)
     r = _scores(r, len(sigma))
     if np.any(r < 0):
         raise ValueError("relevance must be nonnegative")
     D = discounts.gains
     if not D[0] > 0 or D.min() < 0:
         raise ValueError("discounts must be positive up to the cutoff, then 0")
-    ideal_order = induced_ordering(r, rule).items  # ties raise first
     k = int(np.flatnonzero(D)[-1]) + 1  # the cutoff: every later gain is 0
     if k > r.size:
         raise ValueError(f"cutoff m={k} outside 1..{r.size}")
-    D = D[:k]
-    ideal = float(r[np.array(ideal_order[:k]) - 1] @ D)
+    gains = np.zeros(r.size)
+    gains[:k] = D[:k]
+    g = CardinalityConcave(gains)
+    shortfall = lb_divergence(g, r, sigma, rule)  # ties and overflow raise
+    ideal = float(g.lovasz_batch(r[None])[0])
     if ideal == 0:
         raise ValueError("all-zero relevance: ideal gain is zero")
-    actual = float(r[np.array(sigma.items[:k]) - 1] @ D)
-    if not math.isfinite(ideal) or not math.isfinite(actual):
-        raise ValueError("discounted gain overflowed: it is not finite")
-    return _clamp((ideal - actual) / ideal)
+    return shortfall / ideal
 
 
 def auc_loss(good, bad, sigma: Permutation) -> float:
@@ -157,7 +112,7 @@ def auc_loss(good, bad, sigma: Permutation) -> float:
         raise ValueError("good and bad sets must be nonempty")
     if G & B:
         raise ValueError(f"good and bad sets overlap: {sorted(G & B)}")
-    n = len(sigma)
+    n = len(_ordering(sigma))
     outside = sorted(i for i in G | B if not 1 <= i <= n)
     if outside:
         raise ValueError(f"items {outside} outside 1..{n}")
@@ -217,7 +172,9 @@ def confidence_bound(f: SetFunction, x) -> float:
     eps = float(x.max() - x.min())
     if eps == 0.0:
         return 0.0
-    full = frozenset(range(1, f.n + 1))
-    singleton_max = max(f({j}) for j in full)
-    last_gain_min = min(f.marginal(j, full - {j}) for j in full)
-    return eps * f.n * (singleton_max - last_gain_min)
+    # f-hat at the singletons, their complements and V: f({j}) and
+    # f(j | V minus j) = f(V) - f(V minus j), all without f(empty)
+    I = np.eye(f.n)
+    v = f.lovasz_batch(np.vstack([I, 1.0 - I, np.ones(f.n)]))
+    last_gains = v[-1] - v[f.n:-1]
+    return eps * f.n * float(v[:f.n].max() - last_gains.min())

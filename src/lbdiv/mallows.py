@@ -65,27 +65,35 @@ def estimate_log_Z(model: LovaszMallows, samples: int, seed: int = 0):
 
     Returns (log_Z_estimate, standard_error_of_log_Z). Sampling runs in
     fixed-size chunks with a deterministic per-chunk seed stream, so the
-    result depends only on (seed, samples).
+    result depends only on (seed, samples). The weights exp(-theta d) are
+    summed relative to the largest seen so far, exp(top), so a large
+    concentration cannot underflow every weight to zero.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     n = model.generator.n
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / _MC_CHUNK))
+    top = -math.inf
     total = 0.0
     total_sq = 0.0
     done = 0
     for chunk_seed in seeds:
         count = min(_MC_CHUNK, samples - done)
         X = np.random.default_rng(chunk_seed).random((count, n))
-        vals = np.exp(-model.concentration *
-                      lb_divergence_batch(model.generator, X, model.reference))
+        log_w = -model.concentration * lb_divergence_batch(
+            model.generator, X, model.reference)
+        peak = float(log_w.max())
+        if peak > top:  # rescale the sums to the new maximum
+            scale = math.exp(top - peak)
+            total, total_sq, top = total * scale, total_sq * scale ** 2, peak
+        vals = np.exp(log_w - top)
         total += vals.sum()
         total_sq += (vals ** 2).sum()
         done += count
     mean = total / samples
     var = max(total_sq / samples - mean ** 2, 0.0)
     se_mean = math.sqrt(var / samples)
-    return math.log(mean), se_mean / mean
+    return top + math.log(mean), se_mean / mean
 
 
 @dataclass(frozen=True)

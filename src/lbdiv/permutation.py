@@ -63,10 +63,6 @@ class Permutation:
         """Item at `rank` (1-based)."""
         return self._items[rank - 1]
 
-    def rank_of(self, item: int) -> int:
-        """Rank assigned to `item` (1-based)."""
-        return self._items.index(item) + 1
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._items)
         for rank, item in enumerate(self._items, start=1):
@@ -86,12 +82,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self._items)})"
-
-    def to_json(self) -> list:
-        return list(self._items)
-
-    def to_csv(self) -> str:
-        return ",".join(str(v) for v in self._items)
 
 
 def _scores(x, n: int | None = None) -> np.ndarray:
@@ -119,9 +109,12 @@ def _items(values) -> tuple:
     return items
 
 
-def _ordering(sigma: Permutation, n: int) -> Permutation:
-    """sigma, checked to order n items."""
-    if len(sigma) != n:
+def _ordering(sigma, n: int | None = None) -> Permutation:
+    """sigma as an ordering: a Permutation, of n items when n is given."""
+    if not isinstance(sigma, Permutation):
+        raise TypeError(
+            f"ordering must be a Permutation, not {type(sigma).__name__}")
+    if n is not None and len(sigma) != n:
         raise ValueError(
             f"length mismatch: ordering has {len(sigma)} items, expected {n}")
     return sigma
@@ -170,24 +163,14 @@ def kendall_tau(sigma: Permutation, pi: Permutation) -> int:
 
     Counts pairs i < j with sigma^-1(pi(i)) > sigma^-1(pi(j)).
     """
-    _ordering(pi, len(sigma))
-    inv = sigma.inverse()
-    r = [inv(pi(i)) for i in range(1, len(pi) + 1)]
-    n = len(r)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if r[i] > r[j])
+    _ordering(pi, len(_ordering(sigma)))
+    r = np.array(sigma.inverse().items)[np.array(pi.items) - 1]
+    return int(np.count_nonzero(np.triu(r[:, None] > r, 1)))
 
 
 def spearman_footrule(sigma: Permutation, pi: Permutation) -> int:
     """Sum over items of the absolute rank displacement."""
-    _ordering(pi, len(sigma))
+    _ordering(pi, len(_ordering(sigma)))
     a = np.array(sigma.inverse().items)
     b = np.array(pi.inverse().items)
     return int(np.abs(a - b).sum())
-
-
-def rank_correlation(sigma: Permutation, pi: Permutation) -> int:
-    """Sum over items of the squared rank displacement."""
-    _ordering(pi, len(sigma))
-    a = np.array(sigma.inverse().items)
-    b = np.array(pi.inverse().items)
-    return int(((a - b) ** 2).sum())

@@ -7,7 +7,6 @@ normalized so that f(empty) = 0.
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
@@ -35,14 +34,6 @@ class SetFunction:
 
     def __call__(self, A) -> float:
         raise NotImplementedError
-
-    def marginal(self, j: int, A) -> float:
-        """The gain f(A + j) - f(A); j must not already be in A."""
-        S = _as_subset(A, self.n)
-        j = int(j)
-        if j in S:
-            raise ValueError(f"item {j} already in the subset")
-        return self(S | {j}) - self(S)
 
     def lovasz_batch(self, X) -> np.ndarray:
         """The Lovasz extension at every row of the (m, n) matrix X.
@@ -232,15 +223,6 @@ class ExplicitTable(SetFunction):
     def from_function(cls, n: int, fn) -> "ExplicitTable":
         """Tabulate fn over all subsets; fn takes a frozenset of items."""
         vals = [fn(_mask_to_set(m)) for m in range(1 << n)]
-        return cls(n, vals)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExplicitTable":
-        """Parse a JSON object mapping subset bitmask -> value."""
-        raw = json.loads(text)
-        masks = {int(k): float(v) for k, v in raw.items()}
-        n = max(masks).bit_length() if masks else 1
-        vals = [masks.get(m, 0.0) for m in range(1 << n)]
         return cls(n, vals)
 
     def __call__(self, A) -> float:

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from lbdiv import (CardinalityConcave, ExplicitTable, GraphCut, Modular,
-                   Permutation, ScoreMatrix, SetFunction, Sum)
+                   Permutation, ScoreMatrix, SetFunction, Sum, TieRule,
+                   induced_ordering)
 from lbdiv.aggregate import _resolve_weights
+from lbdiv.divergence import _ZERO_GUARD
+from lbdiv.permutation import _ordering, _scores
 from lbdiv.submodular import _tabulate
 
 ENUMERATION_LIMIT = 8  # largest n for the exhaustive n! enumerations
@@ -106,6 +109,56 @@ def chain_subgradient(f, sigma):
     h = np.empty(f.n)
     h[np.array(sigma.items) - 1] = np.diff(chain)
     return h
+
+
+def _clamp(value: float) -> float:
+    # floating-point guard: tiny negatives are exact zeros
+    if -_ZERO_GUARD <= value < 0.0:
+        return 0.0
+    return value
+
+
+def lb_cardinality(gains, x, sigma: Permutation,
+                   rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
+    """Closed form for cardinality-based generators, an oracle for
+    lb_divergence.
+
+    sum_i x(sigma_x(i)) gains(i) - sum_i x(sigma(i)) gains(i).
+    """
+    gains = CardinalityConcave(gains).gains
+    x = _scores(x, gains.size)
+    _ordering(sigma, x.size)
+    sx = induced_ordering(x, rule)
+    xs = x[np.array(sx.items) - 1]
+    xo = x[np.array(sigma.items) - 1]
+    return _clamp(float((xs - xo) @ gains))
+
+
+def lb_cut(W, x, sigma: Permutation, orientation_count: int = 2,
+           rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> float:
+    """Pairwise discordance form for graph-cut generators, an oracle for
+    lb_divergence.
+
+    Sums W(a, b) |x_a - x_b| over pairs placed discordantly by sigma versus
+    the ordering of x. orientation_count = 2 counts both orientations of
+    each pair and matches the generic inner-product form; 1 counts each
+    pair once (the weighted-Kendall convention).
+    """
+    W = GraphCut(W).weights
+    n = len(W)
+    x = _scores(x, n)
+    _ordering(sigma, n)
+    if orientation_count not in (1, 2):
+        raise ValueError("orientation_count must be 1 or 2")
+    inv_x = induced_ordering(x, rule).inverse()
+    total = 0.0
+    for i in range(1, n + 1):
+        a = sigma(i)
+        for j in range(i + 1, n + 1):
+            b = sigma(j)
+            if inv_x(a) > inv_x(b):
+                total += W[a - 1, b - 1] * abs(x[a - 1] - x[b - 1])
+    return _clamp(orientation_count * total)
 
 
 def all_permutations(n: int):

@@ -17,12 +17,11 @@ from lbdiv import (CardinalityConcave, ExtendedLovaszMallows, GraphCut,
                    LovaszMallows, Modular, Permutation, ScoreMatrix, Sum,
                    aggregation_objective, auc_loss, confidence_bound,
                    estimate_log_Z, extended_log_density, induced_ordering,
-                   kendall_tau, lb_cardinality, lb_cut, lb_divergence,
-                   lb_kmeans, lovasz_extension, map_permutation,
-                   mean_ordering, ndcg_loss, relabel_scores)
+                   kendall_tau, lb_divergence, lb_kmeans, lovasz_extension,
+                   map_permutation, mean_ordering, ndcg_loss, relabel_scores)
 from conftest import (all_permutations, brute_force_mean, chain_subgradient,
-                      generator_zoo, log2_discounts, random_concave_gains,
-                      random_graph_cut)
+                      generator_zoo, lb_cardinality, lb_cut, log2_discounts,
+                      random_concave_gains, random_graph_cut)
 
 
 @contextmanager

@@ -352,7 +352,7 @@ class TestKMeans:
     def test_result_serializes(self, rng):
         m = ScoreMatrix(rng.random((4, 2)))
         result = lb_kmeans(m, CardinalityConcave.sqrt(2), k=2, seed=0)
-        raw = json.loads(result.to_json())
+        raw = json.loads(json.dumps(result.to_dict()))
         assert raw["assignments"] == list(result.assignments)
         assert raw["representatives"] == [list(s.items)
                                           for s in result.representatives]

@@ -8,14 +8,14 @@ from lbdiv import (CardinalityConcave, ExplicitTable,
                    ExtendedLovaszMallows, GraphCut, LovaszMallows, Modular,
                    PartialOrder, Permutation, ScoreMatrix, Sum, TieError,
                    TieRule, auc_loss, confidence_bound, feature_inference,
-                   induced_ordering, kendall_tau, lb_cardinality, lb_cut,
-                   lb_divergence, lb_divergence_batch, lovasz_extension,
-                   mean_ordering, ndcg_loss, partial_order_distortion,
-                   relabel_scores)
+                   induced_ordering, kendall_tau, lb_divergence,
+                   lb_divergence_batch, lovasz_extension, mean_ordering,
+                   ndcg_loss, partial_order_distortion, relabel_scores,
+                   spearman_footrule)
 from lbdiv.dataio import load_gain_table
 from conftest import (all_permutations, chain_subgradient, every_family,
-                      generator_zoo, log2_discounts, random_concave_gains,
-                      random_graph_cut, user_subclasses)
+                      generator_zoo, lb_cardinality, lb_cut, log2_discounts,
+                      random_concave_gains, random_graph_cut, user_subclasses)
 
 SQRT3_DIV = 0.038550526870925236  # frozen from the by-hand gain-table sums
 
@@ -567,6 +567,33 @@ def non_finite_calls(bad):
         "ExtendedLovaszMallows": lambda: ExtendedLovaszMallows(
             f, two_rows, (1.0, bad)),
     }
+
+
+def plain_list_calls():
+    """Every public entry point that takes an ordering, given the plain
+    list [1, 2, 3] in place of a Permutation."""
+    f, plain = CardinalityConcave.sqrt(3), [1, 2, 3]
+    sigma = Permutation(plain)
+    return {
+        "LovaszMallows": lambda: LovaszMallows(f, plain, 1.0),
+        "lb_divergence": lambda: lb_divergence(f, [0.1, 0.2, 0.3], plain),
+        "lb_divergence_batch": lambda: lb_divergence_batch(
+            f, [[0.1, 0.2, 0.3]], [plain]),
+        "auc_loss": lambda: auc_loss([1], [2], plain),
+        "ndcg_loss": lambda: ndcg_loss([1.0, 2.0, 0.0], plain,
+                                       log2_discounts(3)),
+        "kendall_tau-sigma": lambda: kendall_tau(plain, sigma),
+        "kendall_tau-pi": lambda: kendall_tau(sigma, plain),
+        "spearman_footrule-sigma": lambda: spearman_footrule(plain, sigma),
+        "spearman_footrule-pi": lambda: spearman_footrule(sigma, plain),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(plain_list_calls()))
+def test_ordering_must_be_a_permutation(name):
+    with pytest.raises(TypeError,
+                       match="ordering must be a Permutation, not list"):
+        plain_list_calls()[name]()
 
 
 # non-finite results are checked after the fact, so numpy may warn first

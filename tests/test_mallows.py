@@ -84,6 +84,22 @@ class TestLogZ:
         with pytest.raises(ValueError):
             estimate_log_Z(sqrt_model(2), samples=50)
 
+    def test_large_theta_does_not_underflow(self):
+        # exp(-1e5 d) is 0.0 at every sample; log Z is still finite. The
+        # 4000 samples form one chunk, drawn from the first spawned seed.
+        model = sqrt_model(10, theta=1e5)
+        log_Z, se = estimate_log_Z(model, 4000)
+        seed = np.random.SeedSequence(0).spawn(1)[0]
+        X = np.random.default_rng(seed).random((4000, 10))
+        log_w = -1e5 * lb_divergence_batch(model.generator, X,
+                                           model.reference)
+        assert np.all(np.exp(log_w) == 0.0)
+        top = log_w.max()
+        assert log_Z == pytest.approx(
+            top + math.log(np.exp(log_w - top).mean()), rel=1e-12)
+        assert log_Z == pytest.approx(-1369.41, abs=0.01)
+        assert 0.0 < se <= 1.0
+
     def test_density_integrates_to_one(self):
         # MC estimate of the integral of exp(-theta d)/Z over the cube
         model = sqrt_model(3, theta=1.5)

@@ -1,7 +1,9 @@
-"""Package hygiene: every module and test file uses each name it imports,
-and no module dispatches on a generator's class."""
+"""Package hygiene: the public names are pinned, every module and test file
+uses each name it imports, and no module dispatches on a generator's
+class."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,26 @@ def test_detects_enumeration_of_orderings():
     assert enumeration_uses(source) == [
         (2, "factorial"), (3, "permutations"), (4, "permutations"),
         (5, "factorial")]
+
+
+# every addition to or removal from the public API shows up in this list
+PUBLIC_NAMES = [
+    "CardinalityConcave", "ClusteringResult", "ExplicitTable",
+    "ExtendedDensity", "ExtendedLovaszMallows", "GraphCut", "LovaszMallows",
+    "Modular", "PartialOrder", "Permutation", "ScoreMatrix", "SetFunction",
+    "Sum", "TieError", "TieRule", "aggregation_objective", "auc_loss",
+    "averaged_subgradient", "confidence_bound", "estimate_log_Z",
+    "extended_log_density", "extreme_subgradient", "feature_inference",
+    "from_descriptor", "has_distinct_extreme_points", "induced_ordering",
+    "is_monotone", "is_submodular", "kendall_tau", "lb_divergence",
+    "lb_divergence_batch", "lb_kmeans", "log_density_unnormalized",
+    "lovasz_extension", "map_permutation", "mean_ordering", "ndcg_loss",
+    "partial_order_distortion", "relabel_scores", "spearman_footrule",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(name for name, obj in vars(lbdiv).items()
+                    if not name.startswith("_")
+                    and not isinstance(obj, types.ModuleType))
+    assert public == PUBLIC_NAMES

@@ -51,26 +51,6 @@ class TestEvaluate:
         assert CardinalityConcave.proper_subset(1)({1}) == 0.0
 
 
-class TestMarginalGain:
-    def test_sqrt_gain(self):
-        f = CardinalityConcave.sqrt(4)
-        assert f.marginal(3, {1, 2}) == pytest.approx(
-            math.sqrt(3) - math.sqrt(2), abs=1e-12)
-
-    def test_gain_at_empty_is_singleton_value(self, rng):
-        for f in generator_zoo(rng, 4):
-            for j in range(1, 5):
-                assert f.marginal(j, set()) == pytest.approx(f({j}))
-
-    def test_graph_cut_gain(self):
-        f = GraphCut.uniform(3)
-        assert f.marginal(2, {1}) == 0.0
-
-    def test_item_already_present(self):
-        with pytest.raises(ValueError):
-            CardinalityConcave.sqrt(3).marginal(1, {1, 2})
-
-
 class TestStructuralChecks:
     def test_sqrt_cardinality_submodular(self):
         assert is_submodular(CardinalityConcave.sqrt(4))
@@ -212,12 +192,6 @@ class TestExplicitTable:
         assert f(set()) == 0.0
         assert f({1}) == 1.0
         assert f({1, 2}) == 2.5
-
-    def test_from_json_bitmask_mapping(self):
-        f = ExplicitTable.from_json(json.dumps({"0": 0, "1": 1, "2": 1, "3": 1.5}))
-        assert f.n == 2
-        assert f({1}) == 1.0
-        assert f({1, 2}) == 1.5
 
 
 class TestSerialization:
