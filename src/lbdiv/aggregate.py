@@ -7,14 +7,12 @@ the generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ParseError, parse_csv_matrix
-from .permutation import Permutation, TieRule, _ordering, induced_ordering
+from .permutation import Permutation, TieRule, induced_ordering
 from .submodular import SetFunction
 from .divergence import lb_divergence_batch
 
@@ -24,7 +22,6 @@ class ScoreMatrix:
     """A stack of real score vectors over a shared item set."""
 
     rows: np.ndarray
-    row_ids: tuple | None = None
 
     def __post_init__(self):
         try:
@@ -38,11 +35,6 @@ class ScoreMatrix:
         if not np.all(np.isfinite(rows)):
             raise ValueError("scores must be finite")
         object.__setattr__(self, "rows", rows)
-        if self.row_ids is not None:
-            ids = tuple(self.row_ids)
-            if len(ids) != rows.shape[0]:
-                raise ValueError("one id per row required")
-            object.__setattr__(self, "row_ids", ids)
 
     @property
     def n_rows(self) -> int:
@@ -51,26 +43,6 @@ class ScoreMatrix:
     @property
     def n_items(self) -> int:
         return self.rows.shape[1]
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ScoreMatrix":
-        rows, header = parse_csv_matrix(text)
-        return cls(rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScoreMatrix":
-        try:
-            raw = json.loads(text)
-        except RecursionError:
-            raise ParseError("JSON score matrix nested too deeply") from None
-        if isinstance(raw, dict):
-            if "rows" not in raw:
-                raise ParseError("JSON score matrix object needs a 'rows' key")
-            ids = raw.get("row_ids")
-            if "row_ids" in raw and not isinstance(ids, list):
-                raise ParseError("JSON score matrix 'row_ids' must be a list")
-            return cls(raw["rows"], None if ids is None else tuple(ids))
-        return cls(raw)
 
 
 def _resolve_weights(matrix: ScoreMatrix, weights):
@@ -139,19 +111,19 @@ class ClusteringResult:
         }
 
 
-def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
+def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int,
               max_iter: int = 100, tol: float = 1e-9, seed: int = 0,
               rule: TieRule = TieRule.LOWEST_INDEX_FIRST) -> ClusteringResult:
     """Alternating assignment/update clustering of score rows.
 
     Representatives are permutations; the update step replaces each with
     the ordering of its cluster mean, so the objective never increases.
-    init is "sample" (k distinct seeded rows) or an explicit list of k
-    permutations. Each empty cluster is reseeded with a distinct row, the
-    one farthest from its representative among clusters with at least two
-    members. A row joins the cluster of least computed divergence, the
-    lowest index among equal computed values; rows tied only in exact
-    arithmetic are decided by the rounding of f-hat(x) - <x, h_sigma>.
+    The first representatives are the orderings of k distinct seeded rows.
+    Each empty cluster is reseeded with a distinct row, the one farthest
+    from its representative among clusters with at least two members. A
+    row joins the cluster of least computed divergence, the lowest index
+    among equal computed values; rows tied only in exact arithmetic are
+    decided by the rounding of f-hat(x) - <x, h_sigma>.
     Each pass takes f-hat of every row once, for all k orderings.
     """
     rows = matrix.rows
@@ -161,20 +133,15 @@ def lb_kmeans(matrix: ScoreMatrix, f: SetFunction, k: int, init="sample",
     if max_iter < 1 or not tol >= 0:
         raise ValueError("max_iter >= 1 and tol >= 0 required")
 
-    if init == "sample":
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(m, size=k, replace=False)
+    reps = [induced_ordering(rows[i], rule) for i in chosen]
+    # re-draw duplicated orderings a few times, then accept
+    for _ in range(n):
+        if len(set(reps)) == k:
+            break
         chosen = rng.choice(m, size=k, replace=False)
         reps = [induced_ordering(rows[i], rule) for i in chosen]
-        # re-draw duplicated orderings a few times, then accept
-        for _ in range(n):
-            if len(set(reps)) == k:
-                break
-            chosen = rng.choice(m, size=k, replace=False)
-            reps = [induced_ordering(rows[i], rule) for i in chosen]
-    else:
-        reps = [_ordering(s, n) for s in init]
-        if len(reps) != k:
-            raise ValueError("init must provide k permutations of the items")
 
     assignments = np.zeros(m, dtype=int)
     objective = math.inf

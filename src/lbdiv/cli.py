@@ -43,7 +43,7 @@ def _parse_vector(value: str) -> np.ndarray:
 
 
 def _parse_permutation(value: str) -> Permutation:
-    return Permutation(dataio.parse_int_vector(_read_source(value)))
+    return Permutation(_parse_vector(value))
 
 
 def _load_matrix(source: str) -> ScoreMatrix:
@@ -51,17 +51,14 @@ def _load_matrix(source: str) -> ScoreMatrix:
         text = sys.stdin.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        return ScoreMatrix.from_json(text)
-    return ScoreMatrix.from_csv(text)
+    return ScoreMatrix(dataio.parse_matrix(text))
 
 
 def resolve_generator(spec: str, n: int) -> SetFunction:
     """Build a set function from the small CLI grammar.
 
-    cardinality:sqrt | cardinality:log | cardinality:file=<path> (JSON gain
-    table) | cut:uniform | cut:file=<path> (CSV matrix) | topm:<m>.
+    cardinality:sqrt | cardinality:log | cardinality:file=<path> (gain
+    table) | cut:uniform | cut:file=<path> (weight matrix) | topm:<m>.
     """
     family, _, arg = spec.partition(":")
     if family == "cardinality":
@@ -70,8 +67,8 @@ def resolve_generator(spec: str, n: int) -> SetFunction:
         if arg == "log":
             return CardinalityConcave.log(n)
         if arg.startswith("file="):
-            gains = dataio.load_gain_table(
-                Path(arg[5:]).read_text(encoding="utf-8"))
+            gains = dataio.parse_vector(
+                Path(arg[5:]).read_text(encoding="utf-8"), "gain table")
             if gains.size != n:
                 raise ValueError(
                     f"gain table has {gains.size} entries, expected {n}")
@@ -80,9 +77,8 @@ def resolve_generator(spec: str, n: int) -> SetFunction:
         if arg == "uniform":
             return GraphCut.uniform(n)
         if arg.startswith("file="):
-            W, _ = dataio.parse_csv_matrix(
-                Path(arg[5:]).read_text(encoding="utf-8"))
-            return GraphCut(W)
+            return GraphCut(dataio.parse_matrix(
+                Path(arg[5:]).read_text(encoding="utf-8")))
     elif family == "topm":
         try:
             m = int(arg)
@@ -328,8 +324,7 @@ def cluster(ctx, matrix_source, k, max_iter, tol):
               help="Second permutation (kendall/spearman).")
 @click.option("--relevance", default=None, help="Relevance vector (ndcg).")
 @click.option("--discount", default="log2", show_default=True,
-              help="Discounts: 'log2' or a JSON gain table (inline or "
-                   "@file).")
+              help="Discounts: 'log2' or a gain table (inline or @file).")
 @click.option("--cutoff", type=int, default=None,
               help="Rank cutoff for ndcg (default: all ranks).")
 @click.option("--good", default=None, help="Good items (auc).")
@@ -352,7 +347,7 @@ def eval_cmd(ctx, metric, sigma_source, pi_source, relevance, discount,
             raise click.UsageError("--relevance is required for ndcg")
         r = _parse_vector(relevance)
         D = (1.0 / np.log2(np.arange(2.0, r.size + 2)) if discount == "log2"
-             else dataio.load_gain_table(_read_source(discount)))
+             else dataio.parse_vector(_read_source(discount), "gain table"))
         if not D.size or D.min() <= 0:
             raise ValueError("discounts must be finite and strictly positive")
         k = D.size if cutoff is None else cutoff
@@ -362,10 +357,9 @@ def eval_cmd(ctx, metric, sigma_source, pi_source, relevance, discount,
     else:
         if good is None or bad is None:
             raise click.UsageError("--good and --bad are required for auc")
-        G = dataio.parse_int_vector(_read_source(good))
-        B = dataio.parse_int_vector(_read_source(bad))
+        G, B = _parse_vector(good), _parse_vector(bad)
         value = auc_loss(G, B, sigma)
-        inputs.update(good=G, bad=B)
+        inputs.update(good=G.astype(int), bad=B.astype(int))
     _emit(ctx, {"metric": metric, "value": float(value), "inputs": inputs})
 
 

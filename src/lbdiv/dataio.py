@@ -1,7 +1,9 @@
-"""Parsing helpers shared by the CLI: CSV matrices and small JSON payloads.
+"""Every text format the CLI reads: score vectors (also item lists and gain
+tables) and score matrices, each as CSV or JSON.
 
 CSV is comma-separated, UTF-8, LF or CRLF; an optional header row is
-detected by a non-numeric first row. Every parsed value must be finite.
+detected by a non-numeric first row. Vectors and CSV cells must be finite;
+the owner of a JSON matrix checks its values.
 """
 
 from __future__ import annotations
@@ -69,44 +71,45 @@ def parse_csv_matrix(text: str):
     return out, header
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise ParseError(f"non-finite value in {what}")
-    return values
-
-
-def parse_vector(text: str) -> np.ndarray:
-    """A single comma-separated (or JSON array) vector of finite reals."""
+def parse_vector(text: str, what: str = "vector") -> np.ndarray:
+    """One vector of finite reals: a flat JSON array when the text starts
+    with [ or {, one comma-separated line otherwise. `what` names the input
+    in error messages."""
     text = text.strip()
-    if text.startswith("["):
+    if text.startswith(("[", "{")):
         try:
             vec = np.asarray(json.loads(text), dtype=float)
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise ParseError(f"bad JSON vector: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad {what} JSON: {exc}") from None
+        except (TypeError, ValueError, OverflowError, RecursionError):
+            vec = None  # not a list of reals
+        if vec is None or vec.ndim != 1:
+            raise ParseError(f"{what} must be a JSON array of reals")
     else:
         try:
             vec = np.array([float(c) for c in text.split(",")])
         except ValueError as exc:
-            raise ParseError(f"bad vector: {exc}") from None
-    return _finite(vec, "vector")
+            raise ParseError(f"bad {what}: {exc}") from None
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"non-finite value in {what}")
+    return vec
 
 
-def parse_int_vector(text: str) -> list:
-    vec = parse_vector(text)
-    out = [int(v) for v in vec]
-    if any(v != int(v) for v in vec):
-        raise ParseError("expected integers")
-    return out
-
-
-def load_gain_table(text: str) -> np.ndarray:
-    """Gain tables are flat JSON arrays of reals."""
+def parse_matrix(text: str) -> np.ndarray:
+    """A score matrix as a float array. JSON when the text starts with [ or
+    {: an array of rows, or an object whose "rows" key holds one (other
+    keys are ignored). CSV otherwise, as parse_csv_matrix reads it."""
+    if not text.lstrip().startswith(("[", "{")):
+        return parse_csv_matrix(text)[0]
     try:
-        vals = np.asarray(json.loads(text), dtype=float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad gain table JSON: {exc}") from None
-    except (TypeError, ValueError, OverflowError):  # not a list of reals
-        vals = None
-    if vals is None or vals.ndim != 1:
-        raise ParseError("gain table must be a JSON array of reals")
-    return _finite(vals, "gain table")
+        raw = json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON score matrix nested too deeply") from None
+    if isinstance(raw, dict):
+        if "rows" not in raw:
+            raise ParseError("JSON score matrix object needs a 'rows' key")
+        raw = raw["rows"]
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"scores must be real numbers: {exc}") from None

@@ -8,7 +8,6 @@ generators are kept in the test suite as oracles against it.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -140,12 +139,6 @@ class PartialOrder:
                     "constraint weights must be finite and positive")
             cons.append((above, below, weight))
         object.__setattr__(self, "constraints", tuple(cons))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartialOrder":
-        raw = json.loads(text)
-        return cls(tuple((c["above"], c["below"], c.get("weight", 1.0))
-                         for c in raw))
 
 
 def partial_order_distortion(order: PartialOrder, x) -> float:

@@ -38,21 +38,16 @@ def lovasz_extension(f: SetFunction, x,
     return float(f.lovasz_batch(x.reshape(1, -1))[0])
 
 
-def averaged_subgradient(f: SetFunction, y,
-                         zero_at_origin: bool = False) -> np.ndarray:
+def averaged_subgradient(f: SetFunction, y) -> np.ndarray:
     """Arithmetic mean of the extreme subgradients over all orderings of y.
 
     For totally ordered y this is the single greedy subgradient. Within a
     tie block B ranked after the items P, the mean is the Shapley value of
     the game S -> f(P + S) - f(P) (Shapley 1953): the weights
     |S|! (|B| - |S| - 1)! / |B|! on the 2^|B| values of f-hat at P + S,
-    with no ordering enumerated. A block may hold at most 20 items. With
-    `zero_at_origin`, y = 0 maps to the zero vector instead of the plain
-    average (the conventional pin for normalized monotone generators).
+    with no ordering enumerated. A block may hold at most 20 items.
     """
     y = _scores(y, f.n)
-    if zero_at_origin and np.all(y == 0):
-        return np.zeros(f.n)
     h = np.empty(f.n)
     above = []
     for value in np.unique(y)[::-1]:

@@ -152,7 +152,7 @@ def reject_ties(X) -> None:
 
 def relabel_scores(tau: Permutation, x):
     """The relabeled vector (tau x)(i) = x(tau^-1(i))."""
-    x = _scores(x, len(tau))
+    x = _scores(x, len(_ordering(tau)))
     out = np.empty_like(x)
     out[np.array(tau.items) - 1] = x
     return out

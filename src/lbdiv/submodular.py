@@ -58,11 +58,6 @@ class SetFunction:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def __add__(self, other):
-        if not isinstance(other, SetFunction):
-            return NotImplemented
-        return Sum([self, other])
-
 
 class CardinalityConcave(SetFunction):
     """f(A) = g(|A|) with concave g given by its gain table.

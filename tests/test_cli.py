@@ -32,6 +32,15 @@ class TestGeneratorSpecs:
         assert isinstance(f, CardinalityConcave)
         np.testing.assert_array_equal(f.gains, [1.0, 1.0, 0.0, 0.0])
 
+    def test_file_backed_csv_gains_and_json_weights(self, tmp_path):
+        gains = tmp_path / "gains.csv"
+        gains.write_text("1.0,0.5,0.25\n")
+        f = resolve_generator(f"cardinality:file={gains}", 3)
+        np.testing.assert_allclose(f.gains, [1.0, 0.5, 0.25])
+        cut = tmp_path / "w.json"
+        cut.write_text('{"rows": [[0, 2], [2, 0]]}')
+        assert resolve_generator(f"cut:file={cut}", 2)({1}) == 2.0
+
     def test_file_backed(self, tmp_path):
         gains = tmp_path / "gains.json"
         gains.write_text("[1.0, 0.5, 0.25]")
@@ -326,18 +335,31 @@ class TestInputBoundary:
         err = self.run_main(monkeypatch, capsys, *args)
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("args, message", [
+        (("eval", "--metric", "kendall", "--sigma", "[[1,2]]", "--pi", "1,2"),
+         "vector must be a JSON array of reals"),
+        (("divergence", "--x", "[1,{}]", "--sigma", "1,2"),
+         "vector must be a JSON array of reals"),
+        (("eval", "--metric", "auc", "--sigma", "1,2", "--good", "1.5",
+          "--bad", "2"), "items must be finite integers"),
+    ], ids=["nested-items", "object-score", "non-integral-item"])
+    def test_bad_vector_option(self, monkeypatch, capsys, args, message):
+        err = self.run_main(monkeypatch, capsys, *args)
+        assert message in err
+
+    def test_object_in_json_cut_weights(self, monkeypatch, capsys, tmp_path):
+        weights = tmp_path / "w.json"
+        weights.write_text("[[0, {}], [1, 0]]")
+        err = self.run_main(monkeypatch, capsys, "--generator",
+                            f"cut:file={weights}", "divergence", "--x",
+                            "0.5,0.2", "--sigma", "1,2")
+        assert "real numbers" in err
+
     def test_json_matrix_without_rows(self, monkeypatch, capsys, tmp_path):
         data = tmp_path / "rows.json"
         data.write_text(json.dumps({"row_ids": ["a"]}))
         err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
         assert "'rows'" in err
-
-    @pytest.mark.parametrize("ids", ["5", '"ab"'])
-    def test_json_row_ids_not_a_list(self, monkeypatch, capsys, tmp_path, ids):
-        data = tmp_path / "rows.json"
-        data.write_text('{"rows": [[1, 2], [3, 4]], "row_ids": %s}' % ids)
-        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
-        assert "'row_ids' must be a list" in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_cell(self, monkeypatch, capsys, tmp_path, cell):

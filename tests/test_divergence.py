@@ -7,12 +7,13 @@ import pytest
 from lbdiv import (CardinalityConcave, ExplicitTable,
                    ExtendedLovaszMallows, GraphCut, LovaszMallows, Modular,
                    PartialOrder, Permutation, ScoreMatrix, Sum, TieError,
-                   TieRule, auc_loss, confidence_bound, feature_inference,
+                   TieRule, auc_loss, confidence_bound, extended_log_density,
+                   extreme_subgradient, feature_inference,
                    induced_ordering, kendall_tau, lb_divergence,
                    lb_divergence_batch, lovasz_extension, mean_ordering,
                    ndcg_loss, partial_order_distortion, relabel_scores,
                    spearman_footrule)
-from lbdiv.dataio import load_gain_table
+from lbdiv.dataio import parse_vector
 from conftest import (all_permutations, chain_subgradient, every_family,
                       generator_zoo, lb_cardinality, lb_cut, log2_discounts,
                       random_concave_gains, random_graph_cut, user_subclasses)
@@ -525,7 +526,7 @@ class TestDiscountProfile:
             [1.0, 1 / math.log2(3), 0.0], abs=1e-15)
 
     def test_from_json(self):
-        table = load_gain_table("[1.0, 0.5, 0.25]")
+        table = parse_vector("[1.0, 0.5, 0.25]", "gain table")
         assert table.tolist() == [1.0, 0.5, 0.25]
         discounts = CardinalityConcave.truncated(table, 2)
         assert discounts.gains.tolist() == [1.0, 0.5, 0.0]
@@ -586,6 +587,12 @@ def plain_list_calls():
         "kendall_tau-pi": lambda: kendall_tau(sigma, plain),
         "spearman_footrule-sigma": lambda: spearman_footrule(plain, sigma),
         "spearman_footrule-pi": lambda: spearman_footrule(sigma, plain),
+        "relabel_scores": lambda: relabel_scores(plain, [0.1, 0.2, 0.3]),
+        "Permutation.compose": lambda: sigma.compose(plain),
+        "extreme_subgradient": lambda: extreme_subgradient(f, plain),
+        "extended_log_density": lambda: extended_log_density(
+            ExtendedLovaszMallows(f, ScoreMatrix([[0.1, 0.2, 0.3]]), (1.0,)),
+            plain),
     }
 
 

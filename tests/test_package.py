@@ -1,6 +1,6 @@
 """Package hygiene: the public names are pinned, every module and test file
-uses each name it imports, and no module dispatches on a generator's
-class."""
+uses each name it imports, no module dispatches on a generator's class,
+and text is parsed in `dataio` alone."""
 
 import ast
 import types
@@ -111,6 +111,39 @@ def test_detects_enumeration_of_orderings():
     assert enumeration_uses(source) == [
         (2, "factorial"), (3, "permutations"), (4, "permutations"),
         (5, "factorial")]
+
+
+# text formats are read in dataio alone; a model's from_json is persistence
+PARSER_CALLS = {"loads", "parse_csv_matrix"}
+PARSING_MODULES = {"dataio.py": PARSER_CALLS, "mallows.py": {"loads"}}
+
+
+def parser_calls(source):
+    """(line, name) for each call of `json.loads` or `parse_csv_matrix`,
+    however it was imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in PARSER_CALLS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_is_parsed_in_dataio(path):
+    allowed = PARSING_MODULES.get(path.name, set())
+    assert [call for call in parser_calls(path.read_text(encoding="utf-8"))
+            if call[1] not in allowed] == []
+
+
+def test_detects_a_parser_call():
+    source = ("import json\nfrom json import loads\n"
+              "json.loads('[]') + loads('[]')\n"
+              "rows, _ = dataio.parse_csv_matrix(text)\n"
+              "json.dumps([]); parse_vector(text)\n")
+    assert parser_calls(source) == [
+        (3, "loads"), (3, "loads"), (4, "parse_csv_matrix")]
 
 
 # every addition to or removal from the public API shows up in this list

@@ -1,5 +1,7 @@
 """CLI reports: the bulk encoder against the writer it replaced, fuzzing of
-the score-matrix parsers through `aggregate`, and fuzzing of `eval`'s argv.
+the score-matrix parser through `aggregate` and `cut:file=`, and fuzzing of
+every vector option: `eval`'s argv, `divergence --x` and `aggregate
+--weights`.
 
 The oracles below are the report writer and the CSV parser as they were
 before numeric arrays were written and parsed in bulk: `_sig` rounding
@@ -389,32 +391,57 @@ def test_aggregate_on_fuzzed_files_exits_cleanly(tmp_path, case):
         assert len(err.splitlines()) == 1, err
 
 
+def assert_exits_cleanly(argv):
+    """Exit 0 with JSON on stdout, or exit 2 with one line on stderr."""
+    code, out, err = run_main(argv)
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert code == 2, err
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(csv_texts, json_texts))
+def test_cut_file_on_fuzzed_files_exits_cleanly(tmp_path, text):
+    weights = tmp_path / "w.txt"
+    weights.write_text(text, encoding="utf-8")
+    assert_exits_cleanly(["--generator", f"cut:file={weights}", "divergence",
+                          "--x", "0.5,0.2", "--sigma", "1,2"])
+
+
 int_lists = st.lists(st.integers(-1, 5), max_size=5)
 int_texts = st.one_of(
     int_lists,
     st.integers(1, 4).flatmap(lambda n: st.permutations(range(1, n + 1))),
 ).map(lambda v: ",".join(map(str, v)))
+# every vector option reads one CSV line or one JSON value
+vector_texts = st.one_of(int_texts, int_lists.map(json.dumps),
+                         json_values.map(json.dumps))
 
 
 @st.composite
 def eval_argv(draw):
     """`eval` argv for every metric, over small integer lists that include
-    0, negative and out-of-range items, cutoffs and discount tables. Any
-    option, a required one too, may be left out."""
+    0, negative and out-of-range items, JSON values of any shape, cutoffs
+    and discount tables. Any option, a required one too, may be left out."""
     def option(name, value):
         return [name, value] if draw(st.integers(0, 7)) else []
 
     metric = draw(st.sampled_from(["ndcg", "auc", "kendall", "spearman"]))
     argv = ["--tie-rule", draw(st.sampled_from(["lowest-index", "reject"])),
             "eval", *option("--metric", metric),
-            *option("--sigma", draw(int_texts))]
+            *option("--sigma", draw(vector_texts))]
     if metric in ("kendall", "spearman"):
-        argv += option("--pi", draw(int_texts))
+        argv += option("--pi", draw(vector_texts))
     elif metric == "auc":
-        argv += option("--good", draw(int_texts))
-        argv += option("--bad", draw(int_texts))
+        argv += option("--good", draw(vector_texts))
+        argv += option("--bad", draw(vector_texts))
     else:
-        argv += option("--relevance", draw(int_texts))
+        argv += option("--relevance", draw(vector_texts))
         discount = draw(st.none() | st.just("log2")
                         | int_lists.map(json.dumps))
         if discount is not None:
@@ -436,3 +463,20 @@ def test_eval_on_fuzzed_argv_exits_cleanly(argv):
         assert code == 2, err
         assert out == ""
         assert len(err.splitlines()) == 1, err
+
+
+real_texts = st.one_of(vector_texts,
+                       st.lists(numbers, min_size=1, max_size=4).map(",".join))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.booleans(), real_texts, int_texts)
+def test_score_vectors_on_fuzzed_text_exit_cleanly(tmp_path, divergence, x,
+                                                   sigma):
+    if divergence:
+        assert_exits_cleanly(["divergence", "--x", x, "--sigma", sigma])
+    else:
+        data = tmp_path / "rows.csv"
+        data.write_text("1,2\n3,4\n2,2\n", encoding="utf-8")
+        assert_exits_cleanly(["aggregate", str(data), "--weights", x])

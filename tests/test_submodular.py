@@ -228,7 +228,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_descriptor({"kind": "mystery"})
 
-
-def test_sum_operator():
-    f = CardinalityConcave.sqrt(3) + GraphCut.uniform(3)
-    assert f({1}) == pytest.approx(1.0 + 2.0)
