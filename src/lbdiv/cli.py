@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -77,8 +79,12 @@ def resolve_generator(spec: str, n: int) -> SetFunction:
         if arg == "uniform":
             return GraphCut.uniform(n)
         if arg.startswith("file="):
-            return GraphCut(dataio.parse_matrix(
-                Path(arg[5:]).read_text(encoding="utf-8")))
+            weights = dataio.parse_matrix(
+                Path(arg[5:]).read_text(encoding="utf-8"))
+            if weights.shape != (n, n):
+                raise ValueError(f"weight matrix has shape {weights.shape}, "
+                                 f"expected ({n}, {n})")
+            return GraphCut(weights)
     elif family == "topm":
         try:
             m = int(arg)
@@ -221,8 +227,14 @@ def _emit(ctx, report):
     out = ctx.obj["output"]
     if out is None:
         click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    # Overwrite in place, then trim: truncating on open (O_TRUNC) makes
+    # ext4 write back the old report first. /dev/stdout, FIFOs and
+    # /dev/null cannot be trimmed, so only a regular file is.
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 @click.group(no_args_is_help=False)  # a bare `lbdiv` is a usage error too

@@ -2,13 +2,15 @@
 tables) and score matrices, each as CSV or JSON.
 
 CSV is comma-separated, UTF-8, LF or CRLF; an optional header row is
-detected by a non-numeric first row. Vectors and CSV cells must be finite;
-the owner of a JSON matrix checks its values.
+detected by a non-numeric first row. JSON values must be numbers, not
+strings or booleans. Vectors and CSV cells must be finite; the owner of a
+JSON matrix checks that its values are.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -71,6 +73,22 @@ def parse_csv_matrix(text: str):
     return out, header
 
 
+def _reals(value, text: str, keys: int = 0) -> np.ndarray:
+    """value, decoded from the JSON text, as a float array; the text's
+    top-level object has `keys` keys. np.asarray also reads strings and
+    booleans as reals. Those put into the text a quote beyond the keys' two
+    each, or the u of true or the l of false, letters that no number holds;
+    only then is every element looked at."""
+    array = np.asarray(value, dtype=float)
+    if text.count('"') > 2 * keys or "u" in text or "l" in text:
+        leaves = [value]
+        for _ in range(array.ndim):
+            leaves = chain.from_iterable(leaves)
+        if {str, bool} & set(map(type, leaves)):
+            raise ValueError("found a JSON string or boolean")
+    return array
+
+
 def parse_vector(text: str, what: str = "vector") -> np.ndarray:
     """One vector of finite reals: a flat JSON array when the text starts
     with [ or {, one comma-separated line otherwise. `what` names the input
@@ -78,7 +96,7 @@ def parse_vector(text: str, what: str = "vector") -> np.ndarray:
     text = text.strip()
     if text.startswith(("[", "{")):
         try:
-            vec = np.asarray(json.loads(text), dtype=float)
+            vec = _reals(json.loads(text), text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad {what} JSON: {exc}") from None
         except (TypeError, ValueError, OverflowError, RecursionError):
@@ -105,11 +123,12 @@ def parse_matrix(text: str) -> np.ndarray:
         raw = json.loads(text)
     except RecursionError:
         raise ParseError("JSON score matrix nested too deeply") from None
+    keys = 0
     if isinstance(raw, dict):
         if "rows" not in raw:
             raise ParseError("JSON score matrix object needs a 'rows' key")
-        raw = raw["rows"]
+        keys, raw = len(raw), raw["rows"]
     try:
-        return np.asarray(raw, dtype=float)
+        return _reals(raw, text, keys)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"scores must be real numbers: {exc}") from None

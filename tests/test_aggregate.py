@@ -50,10 +50,22 @@ class TestScoreMatrix:
         with pytest.raises(ParseError):
             ScoreMatrix(parse_matrix(json.dumps({"row_ids": ["r1"]})))
 
-    @pytest.mark.parametrize("rows", [[[1, {}]], {"a": 1}, [[10 ** 400, 1]]])
+    @pytest.mark.parametrize("rows", [[[1, {}]], {"a": 1}, [[10 ** 400, 1]],
+                                      [[1, "2"]], [[1, True]], [[1.5, False]],
+                                      True, "3"])
     def test_json_rows_must_be_real_numbers(self, rows):
-        with pytest.raises(ValueError, match="real numbers"):
-            ScoreMatrix(parse_matrix(json.dumps({"rows": rows})))
+        # np.asarray reads "2" and True as reals, and [1, True] as ints
+        with pytest.raises(ParseError, match="real numbers"):
+            parse_matrix(json.dumps({"rows": rows}))
+
+    @pytest.mark.parametrize("rows", [[[1, "2"]], [[1, True]]])
+    def test_json_array_must_hold_real_numbers(self, rows):
+        with pytest.raises(ParseError, match="real numbers"):
+            parse_matrix(json.dumps(rows))
+
+    def test_other_keys_may_hold_strings_and_booleans(self):
+        text = json.dumps({"rows": [[1, 2.5]], "name": "u", "ok": False})
+        assert parse_matrix(text).tolist() == [[1.0, 2.5]]
 
     def test_json_nested_too_deeply(self):
         with pytest.raises(ParseError, match="nested"):

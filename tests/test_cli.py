@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -139,6 +141,69 @@ class TestAggregateCommand:
         out = tmp_path / "report.json"
         run(runner, "--output", str(out), "aggregate", str(data))
         assert json.loads(out.read_text())["ordering"] == [2, 1]
+
+
+class TestOutputWrite:
+    """--output overwrites the file in place and trims it to the report,
+    which is byte for byte the report on stdout."""
+
+    @pytest.fixture
+    def report(self, runner, tmp_path):
+        data = tmp_path / "rows.csv"
+        data.write_text("0.2,0.9,0.5\n0.4,0.1,0.3\n")
+        args = ["aggregate", str(data)]
+
+        def write(out):
+            run(runner, "--output", str(out), *args)
+            return run(runner, *args).stdout_bytes
+        return write
+
+    @pytest.mark.parametrize("old", [b"x" * 1_000_000, b"{}"],
+                             ids=["longer", "shorter"])
+    def test_existing_file_ends_as_the_report(self, report, tmp_path, old):
+        out = tmp_path / "report.json"
+        out.write_bytes(old)
+        expected = report(out)
+        assert out.read_bytes() == expected
+
+    def test_new_file_is_created_like_write_text(self, report, tmp_path):
+        out = tmp_path / "report.json"
+        old_umask = os.umask(0o027)
+        try:
+            expected = report(out)
+        finally:
+            os.umask(old_umask)
+        assert out.read_bytes() == expected
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_inode_and_mode_are_kept(self, report, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"x" * 4096)
+        out.chmod(0o600)
+        before = out.stat()
+        expected = report(out)
+        after = out.stat()
+        assert out.read_bytes() == expected
+        assert (after.st_ino, after.st_mode) == (before.st_ino,
+                                                 before.st_mode)
+
+    def test_symlink_writes_its_target(self, report, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"x" * 4096)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        expected = report(link)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == expected
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason="no null device")
+    def test_null_device_is_not_trimmed(self, runner, tmp_path):
+        data = tmp_path / "rows.csv"
+        data.write_text("1,2\n")
+        result = run(runner, "--output", os.devnull, "aggregate", str(data))
+        assert result.exit_code == 0
+        assert result.output == ""
 
 
 class TestClusterCommand:
@@ -342,7 +407,12 @@ class TestInputBoundary:
          "vector must be a JSON array of reals"),
         (("eval", "--metric", "auc", "--sigma", "1,2", "--good", "1.5",
           "--bad", "2"), "items must be finite integers"),
-    ], ids=["nested-items", "object-score", "non-integral-item"])
+        (("divergence", "--x", '["0.5", true]', "--sigma", '[true, "2"]'),
+         "vector must be a JSON array of reals"),
+        (("divergence", "--x", "[1, true]", "--sigma", "1,2"),
+         "vector must be a JSON array of reals"),
+    ], ids=["nested-items", "object-score", "non-integral-item",
+            "string-and-boolean", "boolean-among-ints"])
     def test_bad_vector_option(self, monkeypatch, capsys, args, message):
         err = self.run_main(monkeypatch, capsys, *args)
         assert message in err
@@ -353,6 +423,21 @@ class TestInputBoundary:
         err = self.run_main(monkeypatch, capsys, "--generator",
                             f"cut:file={weights}", "divergence", "--x",
                             "0.5,0.2", "--sigma", "1,2")
+        assert "real numbers" in err
+
+    def test_cut_weights_of_the_wrong_size(self, monkeypatch, capsys,
+                                           tmp_path):
+        weights = tmp_path / "W.csv"
+        weights.write_text("0,1,1\n1,0,1\n1,1,0\n")
+        err = self.run_main(monkeypatch, capsys, "--generator",
+                            f"cut:file={weights}", "divergence", "--x",
+                            "0.5,0.2", "--sigma", "1,2")
+        assert "weight matrix has shape (3, 3), expected (2, 2)" in err
+
+    def test_boolean_json_matrix(self, monkeypatch, capsys, tmp_path):
+        data = tmp_path / "rows.json"
+        data.write_text(json.dumps({"rows": True}))
+        err = self.run_main(monkeypatch, capsys, "aggregate", str(data))
         assert "real numbers" in err
 
     def test_json_matrix_without_rows(self, monkeypatch, capsys, tmp_path):
